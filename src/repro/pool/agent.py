@@ -3,16 +3,17 @@
 ``repro agent --bind HOST:PORT --workers N`` runs a :class:`HostAgent`:
 a TCP server that accepts one client session at a time, receives TASK
 frames (:mod:`repro.pool.net`), runs each task in a fresh child process
-— the exact :func:`repro.pool.executor._child_main` children the local
-:class:`~repro.pool.executor.ProcessPool` uses — and streams results
-back as they finish.  The division of labor with the client-side
-:class:`~repro.pool.hosts.HostPool`:
+and streams results back as they finish.  The division of labor with
+the client-side :class:`~repro.pool.hosts.HostPool`:
 
-* **The agent supervises processes.**  At most ``workers`` children run
-  at once (excess tasks queue agent-side); an optional ``task_timeout``
-  watchdog SIGTERMs/SIGKILLs a stuck child and reports the attempt as a
-  timeout.  A child death or torn pipe becomes a TASK_FAILED frame, not
-  an agent crash.
+* **The agent supervises processes** through the same
+  :class:`~repro.pool.executor.ChildSupervisor` the local
+  :class:`~repro.pool.executor.ProcessPool` uses: at most ``workers``
+  children run at once (excess tasks queue agent-side), an optional
+  ``task_timeout`` watchdog reaps a stuck child, and a child death, torn
+  pipe or undecodable message becomes a TASK_FAILED frame, not an agent
+  crash.  The session loop only adds the client socket to the
+  supervisor's wait.
 * **The client supervises the network and retries.**  The agent never
   retries: every abnormal outcome is reported and the client decides
   whether to resend (it owns the ``task_retries`` budget and the
@@ -39,7 +40,7 @@ from typing import Any, Callable
 
 from repro.core.engine.config import check_timeout, check_workers
 from repro.pool.errors import FrameError, PayloadIntegrityError
-from repro.pool.executor import _child_main
+from repro.pool.executor import ChildSupervisor
 from repro.pool.net import (
     CONTROL_TASK_ID,
     FRAME_BYE,
@@ -61,24 +62,6 @@ from repro.pool.net import (
 )
 
 __all__ = ["HostAgent", "spawn_local_agent"]
-
-
-class _Child:
-    """One in-flight child process serving a remote task."""
-
-    __slots__ = ("task_id", "process", "connection", "deadline")
-
-    def __init__(
-        self,
-        task_id: int,
-        process: mp.process.BaseProcess,
-        connection: Connection,
-        deadline: float | None,
-    ) -> None:
-        self.task_id = task_id
-        self.process = process
-        self.connection = connection
-        self.deadline = deadline
 
 
 class HostAgent:
@@ -173,21 +156,6 @@ class HostAgent:
         finally:
             self._listener.close()
 
-    def serve_one_session(self) -> bool:
-        """Accept and serve exactly one session; ``False`` on accept timeout.
-
-        The single-step variant tests drive directly.
-        """
-        try:
-            sock, _peer = self._listener.accept()
-        except socket.timeout:
-            return False
-        try:
-            self._serve_client(sock)
-        finally:
-            sock.close()
-        return True
-
     # -- one client session ---------------------------------------------
 
     def _serve_client(self, sock: socket.socket) -> None:
@@ -198,59 +166,39 @@ class HostAgent:
             pass
         if not self._handshake(sock):
             return
-        queue: deque[tuple[int, Callable[..., Any], tuple]] = deque()
-        running: dict[Connection, _Child] = {}
+        queue: deque[tuple[int, str, Callable[..., Any], tuple]] = deque()
+        supervisor = ChildSupervisor(
+            self._ctx, self.task_timeout, term_grace_s=self.term_grace_s,
+            clock=self._clock,
+        )
         last_seen = self._clock()
         try:
             while not self._stopped:
-                while queue and len(running) < self.workers:
-                    self._spawn(queue.popleft(), running)
+                while queue and len(supervisor) < self.workers:
+                    supervisor.start(*queue.popleft())
                 now = self._clock()
                 if now - last_seen > self.client_idle_timeout_s:
                     return  # silent client: reclaim the agent
-                ready = wait(
-                    [sock, *running], timeout=self._tick(running, now)
-                )
-                for item in ready:
-                    if item is sock:
-                        alive, saw_frame = self._client_frame(sock, queue)
-                        if saw_frame:
-                            last_seen = self._clock()
-                        if not alive:
-                            return
-                    else:
-                        child = running.pop(item)  # type: ignore[arg-type]
-                        self._finish(sock, child)
-                if self.task_timeout is None:
-                    continue
-                now = self._clock()
-                for conn, child in list(running.items()):
-                    if child.deadline is None or now < child.deadline:
-                        continue
-                    if conn.poll():
-                        continue  # result raced the deadline; collect it
-                    running.pop(conn)
-                    self._reap(child)
-                    send_json_frame(
-                        sock, FRAME_TASK_FAILED,
-                        {
-                            "outcome": "timeout",
-                            "error": (
-                                f"task {child.task_id} exceeded its "
-                                f"{self.task_timeout:g}s deadline on "
-                                f"{self.label} and was killed"
-                            ),
-                        },
-                        task_id=child.task_id,
-                    )
+                tick = min(1.0, self.client_idle_timeout_s / 4)
+                wakeup = supervisor.next_wakeup()
+                if wakeup is not None:
+                    tick = min(tick, max(0.0, wakeup - now))
+                ready = wait([sock, *supervisor.pipes], timeout=tick)
+                if sock in ready:
+                    alive, saw_frame = self._client_frame(sock, queue)
+                    if saw_frame:
+                        last_seen = self._clock()
+                    if not alive:
+                        return
+                for fut, status, value in supervisor.collect(ready):
+                    self._forward(sock, fut.index, status, value)
         except (FrameError, ConnectionError, socket.timeout, OSError):
             # The session transport is gone or unusable; drop the client
             # and return to accept.  The client's reconnect ladder owns
             # recovery — any lost results are simply re-requested.
             return
         finally:
-            for child in running.values():
-                self._reap(child)
+            supervisor.close()
 
     def _handshake(self, sock: socket.socket) -> bool:
         try:
@@ -295,7 +243,7 @@ class HostAgent:
     def _client_frame(
         self,
         sock: socket.socket,
-        queue: deque[tuple[int, Callable[..., Any], tuple]],
+        queue: deque[tuple[int, str, Callable[..., Any], tuple]],
     ) -> tuple[bool, bool]:
         """Read and dispatch one client frame.
 
@@ -310,11 +258,7 @@ class HostAgent:
             task_id = getattr(exc, "task_id", CONTROL_TASK_ID)
             if task_id == CONTROL_TASK_ID:
                 raise FrameError(f"corrupt control frame: {exc}") from exc
-            send_json_frame(
-                sock, FRAME_TASK_FAILED,
-                {"outcome": "integrity", "error": str(exc)},
-                task_id=task_id,
-            )
+            self._forward(sock, task_id, "integrity", exc)
             return True, True
         if frame is None:
             return False, False  # clean EOF: client is gone
@@ -325,117 +269,55 @@ class HostAgent:
             return False, True
         if frame.kind == FRAME_TASK:
             try:
-                fn, args, _label = pickle.loads(frame.payload)
+                fn, args, label = pickle.loads(frame.payload)
             except Exception as exc:  # noqa: BLE001 - confine to this task
-                send_json_frame(
-                    sock, FRAME_TASK_FAILED,
-                    {
-                        "outcome": "crash",
-                        "error": f"task payload could not be "
-                        f"deserialized on {self.label}: {exc!r}",
-                    },
-                    task_id=frame.task_id,
+                self._forward(
+                    sock, frame.task_id, "crash",
+                    f"task payload could not be deserialized on "
+                    f"{self.label}: {exc!r}",
                 )
                 return True, True
-            queue.append((frame.task_id, fn, args))
+            # Name the child after the client's label and this host, so
+            # crash and timeout texts say where the attempt ran.
+            queue.append((frame.task_id, f"{label}@{self.label}", fn, args))
             return True, True
         raise FrameError(
             f"client sent unexpected frame kind {frame.kind} mid-session"
         )
 
-    # -- child lifecycle ------------------------------------------------
+    # -- results --------------------------------------------------------
 
-    def _spawn(
-        self,
-        task: tuple[int, Callable[..., Any], tuple],
-        running: dict[Connection, _Child],
+    def _forward(
+        self, sock: socket.socket, task_id: int, status: str, value: Any
     ) -> None:
-        task_id, fn, args = task
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_child_main, args=(send, fn, args, None)
-        )
-        proc.start()
-        # The parent must not hold the child's write end open, or a dead
-        # child would never raise EOFError on recv.
-        send.close()
-        deadline = (
-            self._clock() + self.task_timeout
-            if self.task_timeout is not None else None
-        )
-        running[recv] = _Child(task_id, proc, recv, deadline)
-
-    def _tick(
-        self, running: dict[Connection, _Child], now: float
-    ) -> float:
-        """How long the multiplexer may block before the next duty."""
-        tick = min(1.0, self.client_idle_timeout_s / 4)
-        deadlines = [
-            c.deadline for c in running.values() if c.deadline is not None
-        ]
-        if deadlines:
-            tick = min(tick, max(0.0, min(deadlines) - now))
-        return tick
-
-    def _finish(self, sock: socket.socket, child: _Child) -> None:
-        """Collect one child outcome and forward it to the client.
+        """Forward one task outcome to the client; abnormal outcomes
+        (``crash``/``timeout``/``integrity``) become TASK_FAILED frames.
 
         Result blobs travel under the digest the child computed — the
-        agent never re-hashes, so a byte corrupted on the child pipe is
-        caught by the *client's* frame check, end to end.
+        agent never re-hashes or unpickles them, so a byte corrupted on
+        the child pipe is caught by the *client's* frame check, end to
+        end.
         """
-        task_id = child.task_id
-        try:
-            try:
-                # Bounded by construction: only connections that wait()
-                # reported ready (or poll() confirmed) reach _finish, so
-                # recv() returns without blocking.
-                message = child.connection.recv()  # repro-lint: disable=RPL008 -- recv only after wait()/poll() readiness; hung children are the watchdog's job
-            finally:
-                child.connection.close()
-            child.process.join()
-        except (EOFError, OSError):
-            child.process.join()
-            code = child.process.exitcode
-            send_json_frame(
-                sock, FRAME_TASK_FAILED,
-                {
-                    "outcome": "crash",
-                    "error": f"worker process on {self.label} died without "
-                    f"reporting a result (exit code {code})",
-                },
-                task_id=task_id,
-            )
-            return
-        status = message[0]
         if status == "ok":
-            blob, hexdigest = message[1], message[2]
+            blob, hexdigest = value
             send_frame(
                 sock, FRAME_RESULT_OK, blob, task_id=task_id,
                 digest=bytes.fromhex(hexdigest),
             )
-            return
-        if status == "interrupt":
+        elif status == "interrupt":
             send_frame(sock, FRAME_RESULT_INTERRUPT, task_id=task_id)
-            return
-        try:
-            payload = pickle.dumps(message[1])
-        except Exception:  # noqa: BLE001 - keep the error representable
-            payload = pickle.dumps(
-                RuntimeError(f"unpicklable {message[1]!r}")
+        elif status == "error":
+            try:
+                payload = pickle.dumps(value)
+            except Exception:  # noqa: BLE001 - keep the error representable
+                payload = pickle.dumps(RuntimeError(f"unpicklable {value!r}"))
+            send_frame(sock, FRAME_RESULT_ERROR, payload, task_id=task_id)
+        else:
+            send_json_frame(
+                sock, FRAME_TASK_FAILED,
+                {"outcome": status, "error": str(value)},
+                task_id=task_id,
             )
-        send_frame(sock, FRAME_RESULT_ERROR, payload, task_id=task_id)
-
-    def _reap(self, child: _Child) -> None:
-        """SIGTERM the child, escalate to SIGKILL after the grace period."""
-        child.connection.close()
-        proc = child.process
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(self.term_grace_s)
-            if proc.is_alive():
-                proc.kill()
-        proc.join()
 
 
 # -- scripted-drill helper ---------------------------------------------

@@ -2,8 +2,10 @@
 
 Every parallel feature in this repo (ensemble sharding, ``solve_many``,
 ``ResilientRunner.run_units(workers=N)``) funnels through
-:class:`ProcessPool`, so the concurrency semantics live in exactly one
-place:
+:class:`ProcessPool`, and every child process anywhere in the repo --
+pool tasks, service jobs (:mod:`repro.pool.dispatch`), host-agent tasks
+(:mod:`repro.pool.agent`) -- is started, watched, reaped and classified
+by the one :class:`ChildSupervisor` defined here:
 
 * **Bounded in-flight work** -- at most ``workers`` child processes exist
   at any moment; remaining tasks queue on the host.
@@ -32,10 +34,12 @@ place:
   re-raised on the host when its result is collected, preserving the
   resilient runner's stop-scheduling/flush/skip semantics.
 
-Results travel over one ``multiprocessing.Pipe`` per task and are
-multiplexed with :func:`multiprocessing.connection.wait`, so a slow task
-never blocks collection of a fast one; retry cool-downs are folded into
-the wait timeout, so a cooling-down task never blocks it either.
+Results travel over one ``multiprocessing.Pipe`` per task.  The
+supervisor exposes its pipes and its next watchdog deadline; each front
+end composes a single :func:`multiprocessing.connection.wait` over them
+plus its own duties (the pool's retry cool-downs, the service's cancel
+tick, the agent's client socket), so a slow task never blocks collection
+of a fast one.
 
 The default start method is the platform's (``fork`` on Linux), which
 permits closure tasks.  Payloads used by the library itself are built
@@ -46,9 +50,11 @@ directives, which travel as plain strings.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import os
 import pickle
+import signal
 import time
 from collections import deque
 from multiprocessing.connection import Connection, wait
@@ -57,6 +63,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.core.engine.config import check_retries, check_timeout, check_workers
 from repro.instances.digest import sha256_hex
 from repro.pool.errors import (
+    LOCAL_HOST_LABEL,
     PayloadIntegrityError,
     PoisonTaskError,
     PoisonTaskReport,
@@ -67,6 +74,8 @@ from repro.pool.errors import (
 from repro.pool.faults import PoolFaultPlan
 
 __all__ = [
+    "AttemptLedger",
+    "ChildSupervisor",
     "ProcessPool",
     "PoolFuture",
     "WorkerCrashError",
@@ -75,6 +84,10 @@ __all__ = [
     "default_workers",
 ]
 
+#: Attempt outcomes a supervisor may retry; every other status (``ok``,
+#: ``error``, ``interrupt``) is the task's own result.
+ABNORMAL_OUTCOMES = ("crash", "timeout", "integrity")
+
 
 def default_workers(cap: int | None = None) -> int:
     """The pool size used when the caller does not choose one."""
@@ -82,6 +95,16 @@ def default_workers(cap: int | None = None) -> int:
     if cap is not None:
         n = min(n, cap)
     return max(n, 1)
+
+
+def task_labels(labels: Sequence[str] | None, count: int) -> list[str]:
+    """Per-task names for logs and quarantine reports (``task<i>``)."""
+    if labels is None:
+        return [f"task{i}" for i in range(count)]
+    names = [str(x) for x in labels]
+    if len(names) != count:
+        raise ValueError(f"{len(names)} labels for {count} tasks")
+    return names
 
 
 # One hashing contract repo-wide (repro.instances.digest): children hash
@@ -98,6 +121,12 @@ def _child_main(
 ) -> None:
     """Child entry point: run the task, ship one tagged result, exit.
 
+    SIGTERM is reset to its default action first: a forked child
+    inherits the parent's Python handlers (``repro serve`` installs one
+    for its drain), and a swallowed SIGTERM would make every watchdog
+    reap wait out the full SIGKILL grace.  SIGINT keeps its handler so a
+    Ctrl-C still reaches the task as ``KeyboardInterrupt``.
+
     ``directive`` arms deterministic fault injection
     (:mod:`repro.pool.faults`): ``kill`` exits abruptly before running
     the task (the parent sees a closed pipe, exactly like a segfault);
@@ -106,6 +135,7 @@ def _child_main(
     then flips a byte of the pickled result before sending -- the
     parent's digest check must catch it.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         if directive == "kill":
             conn.close()
@@ -131,60 +161,6 @@ def _child_main(
         conn.close()
 
 
-def receive_outcome(
-    connection: Connection, process: mp.process.BaseProcess, label: str
-) -> tuple[str, Any]:
-    """Receive and decode one child message; never raises.
-
-    Returns ``(status, value)`` where status is ``"ok"``/``"error"``/
-    ``"interrupt"`` (the protocol statuses) or ``"crash"``/``"integrity"``
-    (abnormal outcomes a supervisor may retry).  Any receive or decode
-    failure is confined to this task: a torn or undecodable message must
-    never escape and kill the caller's collection loop.  Shared by the
-    pool's multiplexed collection and the service's single-job
-    :class:`~repro.pool.dispatch.SupervisedDispatch`, so both speak the
-    identical child protocol.
-    """
-    try:
-        try:
-            # Bounded by construction: only connections that wait()
-            # reported ready (or poll() confirmed) reach this receive, so
-            # recv() returns without blocking; hung children are the
-            # watchdog's job, not this read's.
-            message = connection.recv()  # repro-lint: disable=RPL008 -- recv only after wait()/poll() readiness; hangs are reaped by the deadline watchdog
-        finally:
-            connection.close()
-        process.join()
-    except EOFError:
-        process.join()
-        code = process.exitcode
-        return "crash", WorkerCrashError(
-            f"worker process for task {label!r} died without reporting "
-            f"a result (exit code {code})"
-        )
-    except Exception as exc:  # noqa: BLE001 - isolate decode failures
-        process.join()
-        return "crash", WorkerCrashError(
-            f"result for task {label!r} could not be received: {exc!r}"
-        )
-    status = message[0]
-    if status != "ok":
-        return status, message[1]
-    blob, digest = message[1], message[2]
-    if _digest(blob) != digest:
-        return "integrity", PayloadIntegrityError(
-            f"result for task {label!r} failed its content-digest "
-            f"check ({len(blob)} bytes); payload corrupted in transit"
-        )
-    try:
-        return "ok", pickle.loads(blob)
-    except Exception as exc:  # noqa: BLE001 - isolate decode failures
-        return "crash", WorkerCrashError(
-            f"result for task {label!r} could not be deserialized: "
-            f"{exc!r}"
-        )
-
-
 def reap_child(
     process: mp.process.BaseProcess,
     connection: Connection,
@@ -200,29 +176,249 @@ def reap_child(
     process.join()
 
 
-class PoolFuture:
-    """Handle for one in-flight task attempt (internal to the pool)."""
+class AttemptLedger:
+    """Per-task history of abnormal attempts: retry, raw error or poison.
 
-    __slots__ = ("index", "process", "connection", "outcome", "attempt",
-                 "deadline")
+    The one retry/quarantine policy shared by every front end.  Within
+    budget a failed attempt is retried; with the default of no retries a
+    single failure surfaces its raw error (the pre-supervision
+    contract); a task that fails every attempt surfaces
+    :class:`~repro.pool.errors.PoisonTaskError` wrapping its full
+    history.
+    """
+
+    def __init__(self, retries: int = 0) -> None:
+        self.retries = retries
+        self._history: dict[int, list[TaskAttempt]] = {}
+
+    def next_attempt(self, index: int) -> int:
+        """1-based number of the task's next attempt."""
+        return len(self._history.get(index, ())) + 1
+
+    def fail(
+        self,
+        index: int,
+        label: str,
+        outcome: str,
+        error: Exception,
+        exitcode: int | None = None,
+        host: str = LOCAL_HOST_LABEL,
+    ) -> Exception | None:
+        """Record one abnormal attempt; ``None`` means retry the task,
+        otherwise the error to surface for it."""
+        attempts = self._history.setdefault(index, [])
+        attempts.append(TaskAttempt(
+            attempt=len(attempts) + 1,
+            outcome=outcome,
+            error=str(error),
+            exitcode=exitcode,
+            host=host,
+        ))
+        if len(attempts) <= self.retries:
+            return None
+        if self.retries == 0:
+            return error
+        report = PoisonTaskReport(
+            index=index, label=label, attempts=tuple(attempts)
+        )
+        return PoisonTaskError(report)
+
+
+@dataclasses.dataclass(slots=True)
+class PoolFuture:
+    """Handle for one in-flight task attempt (owned by a supervisor)."""
+
+    index: int
+    label: str
+    process: mp.process.BaseProcess
+    connection: Connection
+    #: 1-based attempt number of this spawn.
+    attempt: int
+    #: Absolute watchdog deadline (``None`` = unsupervised).
+    deadline: float | None
+
+
+class ChildSupervisor:
+    """Start, watch, reap and classify task children; keep the ledger.
+
+    The only code in the repo that starts :func:`_child_main`.  One
+    instance holds one run's state -- the live children keyed by their
+    result pipe, and the :class:`AttemptLedger` -- so front ends build
+    one per batch, job or client session.  It never blocks on its own:
+    callers wait on :attr:`pipes` (plus whatever else they serve) until
+    :meth:`next_wakeup`, then hand the ready connections to
+    :meth:`collect`.
+
+    Outcomes use one vocabulary: the child's own ``ok`` (value = the
+    ``(blob, digest)`` pair, still unopened), ``error`` and
+    ``interrupt``, plus the abnormal ``crash`` (dead child, torn or
+    undecodable message) and ``timeout`` (watchdog reap).  Local front
+    ends pass each outcome through :meth:`settle`, which opens the blob
+    (adding ``integrity``) and applies the ledger.
+    """
 
     def __init__(
         self,
-        index: int,
-        process: mp.process.BaseProcess,
-        connection: Connection,
-        attempt: int = 1,
-        deadline: float | None = None,
+        context: mp.context.BaseContext,
+        task_timeout: float | None = None,
+        task_retries: int = 0,
+        term_grace_s: float = 0.5,
+        fault_plan: PoolFaultPlan | None = None,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.index = index
-        self.process = process
-        self.connection = connection
-        #: 1-based attempt number of this spawn.
-        self.attempt = attempt
-        #: Absolute watchdog deadline (``None`` = unsupervised).
-        self.deadline = deadline
-        #: ``("ok"|"error"|"interrupt", value)`` once collected.
-        self.outcome: tuple[str, Any] | None = None
+        self.task_timeout = task_timeout
+        self.term_grace_s = term_grace_s
+        self.fault_plan = fault_plan
+        self.ledger = AttemptLedger(task_retries)
+        self._ctx = context
+        self._clock = clock
+        self._children: dict[Connection, PoolFuture] = {}
+
+    def __len__(self) -> int:
+        return len(self._children)
+
+    @property
+    def pipes(self) -> list[Connection]:
+        """The result pipes of every live child, for the caller's wait."""
+        return list(self._children)
+
+    def next_wakeup(self) -> float | None:
+        """The earliest watchdog deadline (``None`` = nothing to enforce)."""
+        deadlines = [
+            fut.deadline for fut in self._children.values()
+            if fut.deadline is not None
+        ]
+        return min(deadlines) if deadlines else None
+
+    def start(
+        self, index: int, label: str, fn: Callable[..., Any], args: tuple
+    ) -> None:
+        """Fork the task's next attempt, armed with its fault directive."""
+        attempt = self.ledger.next_attempt(index)
+        directive = (
+            self.fault_plan.directive(index, attempt)
+            if self.fault_plan is not None else None
+        )
+        recv, send = self._ctx.Pipe(duplex=False)
+        proc = self._ctx.Process(
+            target=_child_main, args=(send, fn, args, directive)
+        )
+        proc.start()
+        # The parent must not hold the child's write end open, or a dead
+        # child would never raise EOFError on recv.
+        send.close()
+        deadline = (
+            self._clock() + self.task_timeout
+            if self.task_timeout is not None else None
+        )
+        self._children[recv] = PoolFuture(
+            index, label, proc, recv, attempt, deadline
+        )
+
+    def collect(
+        self, ready: Iterable[Any]
+    ) -> list[tuple[PoolFuture, str, Any]]:
+        """Receive every ready child, then reap every child past its deadline.
+
+        ``ready`` is what the caller's wait returned; objects that are
+        not this supervisor's pipes (a client socket) are ignored.  A
+        result that raced its deadline is still collected (``poll()`` is
+        checked before reaping).
+        """
+        out = []
+        for conn in ready:
+            fut = self._children.pop(conn, None)
+            if fut is not None:
+                out.append((fut, *self._receive(fut)))
+        now = self._clock()
+        for conn, fut in list(self._children.items()):
+            if fut.deadline is None or now < fut.deadline or conn.poll():
+                continue
+            del self._children[conn]
+            reap_child(fut.process, conn, self.term_grace_s)
+            out.append((fut, "timeout", WorkerTimeoutError(
+                f"task {fut.label!r} exceeded its {self.task_timeout:g}s "
+                f"deadline and was killed"
+            )))
+        return out
+
+    def _receive(self, fut: PoolFuture) -> tuple[str, Any]:
+        """Receive one child message; never raises.
+
+        Any receive or decode failure -- including an exception the
+        child raised that cannot be rebuilt here -- is confined to this
+        task as a ``crash``: a torn or undecodable message must never
+        escape and kill the caller's loop.
+        """
+        try:
+            try:
+                # Bounded by construction: only connections that wait()
+                # reported ready (or poll() confirmed) reach this receive,
+                # so recv() returns without blocking; hung children are
+                # the watchdog's job, not this read's.
+                message = fut.connection.recv()  # repro-lint: disable=RPL008 -- recv only after wait()/poll() readiness; hangs are reaped by the deadline watchdog
+            finally:
+                fut.connection.close()
+            fut.process.join()
+        except EOFError:
+            fut.process.join()
+            return "crash", WorkerCrashError(
+                f"worker process for task {fut.label!r} died without "
+                f"reporting a result (exit code {fut.process.exitcode})"
+            )
+        except Exception as exc:  # noqa: BLE001 - isolate decode failures
+            fut.process.join()
+            return "crash", WorkerCrashError(
+                f"result for task {fut.label!r} could not be received: "
+                f"{exc!r}"
+            )
+        if message[0] == "ok":
+            return "ok", (message[1], message[2])
+        return message[0], message[1]
+
+    def settle(
+        self, fut: PoolFuture, status: str, value: Any
+    ) -> tuple[str, Any] | None:
+        """Open a local result and book abnormal attempts in the ledger.
+
+        An ``ok`` blob is checked against its digest before it is
+        unpickled (``integrity`` on a mismatch, ``crash`` if it will not
+        load).  Kept out of :meth:`collect` so the host agent can forward
+        the blob unopened, under the child's own digest, for the client
+        to check end to end.
+
+        Returns the task's final ``(status, value)`` -- an exhausted
+        abnormal attempt becomes ``("error", raw error or poison)`` --
+        or ``None`` when the task is due another attempt.
+        """
+        if status == "ok":
+            blob, digest = value
+            if _digest(blob) != digest:
+                status, value = "integrity", PayloadIntegrityError(
+                    f"result for task {fut.label!r} failed its "
+                    f"content-digest check ({len(blob)} bytes); payload "
+                    f"corrupted in transit"
+                )
+            else:
+                try:
+                    value = pickle.loads(blob)
+                except Exception as exc:  # noqa: BLE001 - isolate decode failures
+                    status, value = "crash", WorkerCrashError(
+                        f"result for task {fut.label!r} could not be "
+                        f"deserialized: {exc!r}"
+                    )
+        if status not in ABNORMAL_OUTCOMES:
+            return status, value
+        error = self.ledger.fail(
+            fut.index, fut.label, status, value, fut.process.exitcode
+        )
+        return None if error is None else ("error", error)
+
+    def close(self) -> None:
+        """Reap every live child (generator cleanup, session end, cancel)."""
+        for conn, fut in self._children.items():
+            reap_child(fut.process, conn, self.term_grace_s)
+        self._children.clear()
 
 
 class ProcessPool:
@@ -281,7 +477,6 @@ class ProcessPool:
         self.term_grace_s = term_grace_s
         self.fault_plan = fault_plan
         self._clock = clock
-        self._sleep = time.sleep
         self._ctx = mp.get_context(context)
         if (
             fault_plan is not None
@@ -310,78 +505,53 @@ class ProcessPool:
         or ``"interrupt"`` (child saw ``KeyboardInterrupt``).  Every task
         index is yielded exactly once, retries notwithstanding.
         Generator cleanup (including an exception in the consumer)
-        terminates all in-flight children.
+        reaps all in-flight children.
 
         ``labels`` names tasks in supervision logs and quarantine reports
         (default ``task<i>``).
         """
         specs = [(fn, args) for fn, args in tasks]
-        if labels is None:
-            names = [f"task{i}" for i in range(len(specs))]
-        else:
-            names = [str(x) for x in labels]
-            if len(names) != len(specs):
-                raise ValueError(
-                    f"{len(names)} labels for {len(specs)} tasks"
-                )
+        names = task_labels(labels, len(specs))
         pending: deque[int] = deque(range(len(specs)))
         cooling: list[tuple[float, int]] = []  # (ready_at, index)
-        history: dict[int, list[TaskAttempt]] = {}
-        inflight: dict[Connection, PoolFuture] = {}
+        supervisor = ChildSupervisor(
+            self._ctx, self.task_timeout, self.task_retries,
+            self.term_grace_s, self.fault_plan, self._clock,
+        )
         try:
-            while pending or cooling or inflight:
+            while pending or cooling or supervisor:
                 now = self._clock()
-                while len(inflight) < self.workers:
+                while len(supervisor) < self.workers:
                     index = self._next_runnable(pending, cooling, now)
                     if index is None:
                         break
-                    self._spawn(index, specs[index], history, inflight, now)
-                if not inflight:
+                    supervisor.start(index, names[index], *specs[index])
+                # The next duty: a watchdog deadline, or a cooled-down
+                # retry that has a free worker to run on.
+                wakeups = [supervisor.next_wakeup()]
+                if cooling and len(supervisor) < self.workers:
+                    wakeups.append(min(at for at, _ in cooling))
+                due = [at for at in wakeups if at is not None]
+                timeout = max(0.0, min(due) - now) if due else None
+                if not supervisor:
                     # Whole capacity idle; a retry is cooling down.
-                    self._sleep(
-                        max(0.0, min(at for at, _ in cooling) - now)
-                    )
+                    time.sleep(timeout or 0.0)
                     continue
-                ready = wait(
-                    list(inflight),
-                    self._wait_timeout(inflight, cooling, now),
-                )
-                for conn in ready:
-                    fut = inflight.pop(conn)  # type: ignore[arg-type]
-                    status, value = self._collect(fut, names)
-                    resolved = self._resolve(
-                        fut, status, value, names, history, cooling
-                    )
-                    if resolved is not None:
-                        yield resolved
-                if self.task_timeout is None:
-                    continue
-                now = self._clock()
-                for conn, fut in list(inflight.items()):
-                    if fut.deadline is None or now < fut.deadline:
+                ready = wait(supervisor.pipes, timeout)
+                for fut, status, value in supervisor.collect(ready):
+                    settled = supervisor.settle(fut, status, value)
+                    if settled is not None:
+                        yield (fut.index, *settled)
                         continue
-                    if conn.poll():
-                        continue  # result raced the deadline; collect it
-                    inflight.pop(conn)
-                    self._reap(fut)
-                    error = WorkerTimeoutError(
-                        f"task {names[fut.index]!r} exceeded its "
-                        f"{self.task_timeout:g}s deadline on attempt "
-                        f"{fut.attempt} and was killed"
+                    delay = (
+                        self.retry_delay(fut.attempt - 1)
+                        if self.retry_delay is not None else 0.0
                     )
-                    resolved = self._resolve(
-                        fut, "timeout", error, names, history, cooling
+                    cooling.append(
+                        (self._clock() + max(0.0, delay), fut.index)
                     )
-                    if resolved is not None:
-                        yield resolved
         finally:
-            for fut in inflight.values():
-                fut.connection.close()
-                if fut.process.is_alive():
-                    fut.process.terminate()
-                fut.process.join()
-
-    # -- supervision internals ------------------------------------------
+            supervisor.close()
 
     def _next_runnable(
         self, pending: deque[int], cooling: list[tuple[float, int]],
@@ -397,104 +567,6 @@ class ProcessPool:
             return pending.popleft()
         return None
 
-    def _spawn(
-        self,
-        index: int,
-        spec: tuple[Callable[..., Any], tuple],
-        history: dict[int, list[TaskAttempt]],
-        inflight: dict[Connection, PoolFuture],
-        now: float,
-    ) -> None:
-        fn, args = spec
-        attempt = len(history.get(index, ())) + 1
-        directive = (
-            self.fault_plan.directive(index, attempt)
-            if self.fault_plan is not None else None
-        )
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_child_main, args=(send, fn, args, directive)
-        )
-        proc.start()
-        # The parent must not hold the child's write end open, or a dead
-        # child would never raise EOFError on recv.
-        send.close()
-        deadline = (
-            now + self.task_timeout if self.task_timeout is not None else None
-        )
-        inflight[recv] = PoolFuture(
-            index, proc, recv, attempt=attempt, deadline=deadline
-        )
-
-    def _wait_timeout(
-        self,
-        inflight: dict[Connection, PoolFuture],
-        cooling: list[tuple[float, int]],
-        now: float,
-    ) -> float | None:
-        """How long the pipe multiplexer may block before the next duty:
-        the earliest watchdog deadline or retry cool-down expiry."""
-        wakeups = [
-            fut.deadline for fut in inflight.values()
-            if fut.deadline is not None
-        ]
-        if cooling and len(inflight) < self.workers:
-            wakeups.append(min(at for at, _ in cooling))
-        if not wakeups:
-            return None
-        return max(0.0, min(wakeups) - now)
-
-    def _collect(
-        self, fut: PoolFuture, names: Sequence[str]
-    ) -> tuple[str, Any]:
-        """Receive and decode one child message (see :func:`receive_outcome`)."""
-        return receive_outcome(fut.connection, fut.process, names[fut.index])
-
-    def _resolve(
-        self,
-        fut: PoolFuture,
-        status: str,
-        value: Any,
-        names: Sequence[str],
-        history: dict[int, list[TaskAttempt]],
-        cooling: list[tuple[float, int]],
-    ) -> tuple[int, str, Any] | None:
-        """Turn one attempt outcome into a yielded triple or a retry.
-
-        Normal outcomes pass through.  Abnormal ones (crash/timeout/
-        integrity) are recorded in the task's attempt history and either
-        respawned (budget left), surfaced raw (single-attempt pool -- the
-        pre-supervision contract), or quarantined as a
-        :class:`PoisonTaskError` wrapping the full history.
-        """
-        index = fut.index
-        if status not in ("crash", "timeout", "integrity"):
-            return index, status, value
-        attempts = history.setdefault(index, [])
-        attempts.append(TaskAttempt(
-            attempt=fut.attempt,
-            outcome=status,
-            error=str(value),
-            exitcode=fut.process.exitcode,
-        ))
-        if fut.attempt <= self.task_retries:
-            delay = (
-                self.retry_delay(fut.attempt - 1)
-                if self.retry_delay is not None else 0.0
-            )
-            cooling.append((self._clock() + max(0.0, delay), index))
-            return None
-        if self.task_retries == 0:
-            return index, "error", value
-        report = PoisonTaskReport(
-            index=index, label=names[index], attempts=tuple(attempts)
-        )
-        return index, "error", PoisonTaskError(report)
-
-    def _reap(self, fut: PoolFuture) -> None:
-        """SIGTERM the child, escalate to SIGKILL after the grace period."""
-        reap_child(fut.process, fut.connection, self.term_grace_s)
-
     # -- conveniences ---------------------------------------------------
 
     def map(
@@ -506,24 +578,10 @@ class ProcessPool:
         children have been reaped.
         """
         tasks = [(fn, args) for args in argtuples]
-        results: list[tuple[str, Any] | None] = [None] * len(tasks)
-        interrupted = False
-        for index, status, value in self.imap_unordered(tasks):
-            if status == "interrupt":
-                interrupted = True
-                results[index] = ("interrupt", None)
-            else:
-                results[index] = (status, value)
-        if interrupted:
+        done = {
+            index: (status, value)
+            for index, status, value in self.imap_unordered(tasks)
+        }
+        if any(status == "interrupt" for status, _ in done.values()):
             raise KeyboardInterrupt
-        return [r for r in results if r is not None]
-
-    def run_thunks(
-        self, thunks: Sequence[Callable[[], Any]]
-    ) -> list[tuple[str, Any]]:
-        """Run argument-less callables; results in submission order."""
-        return self.map(_call_thunk, [(t,) for t in thunks])
-
-
-def _call_thunk(thunk: Callable[[], Any]) -> Any:
-    return thunk()
+        return [done[index] for index in range(len(tasks))]

@@ -55,12 +55,10 @@ from repro.pool.errors import (
     HostProtocolError,
     HostUnreachableError,
     PayloadIntegrityError,
-    PoisonTaskError,
-    PoisonTaskReport,
-    TaskAttempt,
     WorkerCrashError,
     WorkerTimeoutError,
 )
+from repro.pool.executor import AttemptLedger, task_labels
 from repro.pool.faults import NetFaultPlan
 from repro.pool.net import (
     CONTROL_TASK_ID,
@@ -221,17 +219,12 @@ class HostPool:
         locally (re-runs are deterministic).
         """
         specs = [(fn, args) for fn, args in tasks]
-        if labels is None:
-            names = [f"task{i}" for i in range(len(specs))]
-        else:
-            names = [str(x) for x in labels]
-            if len(names) != len(specs):
-                raise ValueError(f"{len(names)} labels for {len(specs)} tasks")
+        names = task_labels(labels, len(specs))
         links = [_HostLink(spec) for spec in self.hosts]
         pending: deque[int] = deque(range(len(specs)))
         done: set[int] = set()
         send_attempts: dict[int, int] = {}
-        history: dict[int, list[TaskAttempt]] = {}
+        ledger = AttemptLedger(self.task_retries)
         try:
             for link in links:
                 self._connect(link, pending)
@@ -245,7 +238,7 @@ class HostPool:
                 self._dispatch(
                     links, pending, done, specs, names, send_attempts
                 )
-                for out in self._pump(links, pending, done, names, history):
+                for out in self._pump(links, pending, done, names, ledger):
                     done.add(out[0])
                     yield out
         finally:
@@ -345,7 +338,7 @@ class HostPool:
         pending: deque[int],
         done: set[int],
         names: Sequence[str],
-        history: dict[int, list[TaskAttempt]],
+        ledger: AttemptLedger,
     ) -> list[tuple[int, str, Any]]:
         """One multiplexer beat: wait, read frames, enforce heartbeats."""
         from multiprocessing.connection import wait
@@ -367,7 +360,7 @@ class HostPool:
         for link in list(links):
             if link.sock is not None and link.sock in ready:
                 out.extend(
-                    self._drain(link, pending, done, names, history)
+                    self._drain(link, pending, done, names, ledger)
                 )
         now = self._clock()
         for link in links:
@@ -420,7 +413,7 @@ class HostPool:
         pending: deque[int],
         done: set[int],
         names: Sequence[str],
-        history: dict[int, list[TaskAttempt]],
+        ledger: AttemptLedger,
     ) -> list[tuple[int, str, Any]]:
         """Read one frame from a ready link and translate it to outcomes."""
         assert link.sock is not None
@@ -437,10 +430,9 @@ class HostPool:
                 )
                 return []
             link.inflight.discard(task_id)
-            out = self._task_failed(
-                link, task_id, "integrity", str(exc), names, history, pending
+            return self._task_failed(
+                link, task_id, "integrity", str(exc), names, ledger, pending
             )
-            return [out] if out is not None else []
         except (FrameError, ConnectionError, socket.timeout, OSError) as exc:
             self._link_failed(
                 link, pending,
@@ -463,45 +455,32 @@ class HostPool:
         index = frame.task_id
         if index == CONTROL_TASK_ID or index in done:
             return []  # stale or control traffic; nothing to resolve
-        if frame.kind == FRAME_RESULT_OK:
+        if frame.kind in (FRAME_RESULT_OK, FRAME_RESULT_ERROR):
             link.inflight.discard(index)
+            status = "ok" if frame.kind == FRAME_RESULT_OK else "error"
             try:
                 value = pickle.loads(frame.payload)
             except Exception as exc:  # noqa: BLE001 - confine decode failures
-                out = self._task_failed(
+                what = "result" if status == "ok" else "error"
+                return self._task_failed(
                     link, index, "crash",
-                    f"result for task {names[index]!r} could not be "
+                    f"{what} for task {names[index]!r} could not be "
                     f"deserialized: {exc!r}",
-                    names, history, pending,
+                    names, ledger, pending,
                 )
-                return [out] if out is not None else []
-            return [(index, "ok", value)]
-        if frame.kind == FRAME_RESULT_ERROR:
-            link.inflight.discard(index)
-            try:
-                error = pickle.loads(frame.payload)
-            except Exception as exc:  # noqa: BLE001 - confine decode failures
-                out = self._task_failed(
-                    link, index, "crash",
-                    f"error for task {names[index]!r} could not be "
-                    f"deserialized: {exc!r}",
-                    names, history, pending,
-                )
-                return [out] if out is not None else []
-            return [(index, "error", error)]
+            return [(index, status, value)]
         if frame.kind == FRAME_RESULT_INTERRUPT:
             link.inflight.discard(index)
             return [(index, "interrupt", None)]
         if frame.kind == FRAME_TASK_FAILED:
             link.inflight.discard(index)
             failed = frame.json()
-            out = self._task_failed(
+            return self._task_failed(
                 link, index,
                 str(failed.get("outcome", "crash")),
                 str(failed.get("error", "agent reported task failure")),
-                names, history, pending,
+                names, ledger, pending,
             )
-            return [out] if out is not None else []
         self._link_failed(
             link, pending,
             HostUnreachableError(
@@ -517,36 +496,28 @@ class HostPool:
         outcome: str,
         error_text: str,
         names: Sequence[str],
-        history: dict[int, list[TaskAttempt]],
+        ledger: AttemptLedger,
         pending: deque[int],
-    ) -> tuple[int, str, Any] | None:
+    ) -> list[tuple[int, str, Any]]:
         """Record one abnormal task attempt; retry or surface it.
 
-        Mirrors :meth:`ProcessPool._resolve`: within budget the task goes
-        back on the queue (any live host may pick it up); an exhausted
-        budget surfaces the raw error (``task_retries=0``) or a
-        :class:`PoisonTaskError` whose attempts name the hosts.
+        The pool's own :class:`~repro.pool.executor.AttemptLedger`
+        decides: within budget the task goes back on the queue (any live
+        host may pick it up); an exhausted budget surfaces the raw error
+        (``task_retries=0``) or a
+        :class:`~repro.pool.errors.PoisonTaskError` whose attempts
+        name the hosts.
         """
         if outcome not in _FAILED_ERRORS:
             outcome = "crash"
-        error = _FAILED_ERRORS[outcome](error_text)
-        attempts = history.setdefault(index, [])
-        attempts.append(TaskAttempt(
-            attempt=len(attempts) + 1,
-            outcome=outcome,
-            error=error_text,
-            exitcode=None,
+        error = ledger.fail(
+            index, names[index], outcome, _FAILED_ERRORS[outcome](error_text),
             host=link.label,
-        ))
-        if len(attempts) <= self.task_retries:
-            pending.append(index)
-            return None
-        if self.task_retries == 0:
-            return index, "error", error
-        report = PoisonTaskReport(
-            index=index, label=names[index], attempts=tuple(attempts)
         )
-        return index, "error", PoisonTaskError(report)
+        if error is None:
+            pending.append(index)
+            return []
+        return [(index, "error", error)]
 
     # -- connection ladder -----------------------------------------------
 
