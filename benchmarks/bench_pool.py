@@ -1,4 +1,5 @@
-"""Host-side pool throughput: batched ``solve_many`` vs the serial loop.
+"""Host-side pool throughput: batched ``solve_many`` vs the serial loop,
+and warm workers vs a fresh child per solve.
 
 The pool exists to spread independent instance solves across CPU cores.
 This bench measures the wall-clock effect directly: one benchmark-set
@@ -12,12 +13,16 @@ table reports ``os.cpu_count()`` so the number can be read in context.
 import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 import _shared
 from repro.core.solver import solve_many, solver_for
 from repro.instances.biskup import biskup_instance
+from repro.pool.dispatch import SupervisedDispatch
+from repro.pool.worker import solve_one
+from repro.problems.validation import validate_schedule
 
 WORKERS = 4
 SOLVE_KW = dict(
@@ -74,9 +79,9 @@ def _render(n_instances, t_serial, t_pool) -> str:
         "",
         f"speedup {speedup:.2f}x on {ncpu} CPU core(s)",
         "",
-        "Each instance solves in its own process with bounded in-flight",
-        "work; the win tracks the host's core count (a single-core runner",
-        "only measures the process/pickle overhead).",
+        "Each instance is one task on a warm worker process, with bounded",
+        "in-flight work; the win tracks the host's core count (a",
+        "single-core runner only measures the process/pickle overhead).",
     ]
     return "\n".join(lines)
 
@@ -94,16 +99,16 @@ def test_solve_many_throughput(benchmark):
         assert t_pool < t_serial
 
 
-# -- chunked dispatch on small instances -----------------------------------
+# -- warm workers vs fork-per-task on small instances ----------------------
 
-CHUNK_SOLVE_KW = dict(
+SMALL_SOLVE_KW = dict(
     backend="vectorized", iterations=60, grid_size=2, block_size=32, seed=13
 )
 
 
 def _small_instances():
-    # 24 small instances (n <= 20): the regime where fork/pickle overhead
-    # rivals the solve itself and chunk_size="auto" pays off.
+    # 24 small instances (n <= 20): the regime where forking a process
+    # per solve costs about as much as the solve itself.
     return [
         biskup_instance(n, h, k)
         for n in (10, 20)
@@ -112,70 +117,86 @@ def _small_instances():
     ]
 
 
-def _run_chunk_study():
+def _fork_per_task(instances):
+    """Every solve in a fresh child: ``SupervisedDispatch`` (one child per
+    job, the service's path) from ``WORKERS`` threads, each result
+    validated as ``solve_many`` validates it."""
+
+    def solve(instance):
+        status, result = SupervisedDispatch().run(
+            solve_one, (instance, "parallel_sa", dict(SMALL_SOLVE_KW))
+        )
+        assert status == "ok", result
+        validate_schedule(instance, result.schedule)
+        return result
+
+    with ThreadPoolExecutor(WORKERS) as threads:
+        return list(threads.map(solve, instances))
+
+
+def _warm(instances):
+    items = solve_many(
+        instances, "parallel_sa", workers=WORKERS, **SMALL_SOLVE_KW
+    )
+    assert all(item.ok for item in items)
+    return [item.result for item in items]
+
+
+def _run_warm_study():
     instances = _small_instances()
     timings = {}
     reference = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # cpu oversubscribe
-        for mode, chunk_size in (
-            ("per-instance", None), ("chunk auto", "auto")
-        ):
+        for mode, run in (("fork per task", _fork_per_task),
+                          ("warm workers", _warm)):
             start = time.perf_counter()
-            items = solve_many(
-                instances, "parallel_sa", workers=WORKERS,
-                chunk_size=chunk_size, **CHUNK_SOLVE_KW,
-            )
+            results = run(instances)
             timings[mode] = time.perf_counter() - start
-            assert all(item.ok for item in items)
             outcome = [
-                (item.result.objective, tuple(item.result.best_sequence))
-                for item in items
+                (r.objective, r.best_sequence.tobytes(), r.evaluations)
+                for r in results
             ]
             if reference is None:
                 reference = outcome
             else:
-                # Chunking amortizes dispatch overhead only; the results
-                # must be bit-identical to process-per-instance dispatch.
+                # Reusing a child changes the dispatch cost only; the
+                # results must be bit-identical.
                 assert outcome == reference
     return len(instances), timings
 
 
-def _render_chunks(n_instances, timings) -> str:
+def _render_warm(n_instances, timings) -> str:
     ncpu = os.cpu_count() or 1
-    base = timings["per-instance"]
+    base = timings["fork per task"]
     lines = [
-        "Chunked dispatch -- solve_many(chunk_size='auto') on small "
+        "Warm workers -- solve_many vs a fresh child per solve, on small "
         "instances",
         f"({n_instances} CDD instances with n <= 20, parallel SA, "
-        f"iterations={CHUNK_SOLVE_KW['iterations']}; identical results "
-        "asserted across modes)",
+        f"iterations={SMALL_SOLVE_KW['iterations']}, {WORKERS} workers; "
+        "identical results asserted across modes)",
         "",
-        f"{'dispatch':>22} {'wall [s]':>10} {'vs per-instance':>16}",
+        f"{'dispatch':>22} {'wall [s]':>10} {'vs fork per task':>17}",
     ]
     for mode, wall in timings.items():
-        lines.append(
-            f"{mode:>22} {wall:>10.3f} {base / wall:>15.2f}x"
-        )
+        lines.append(f"{mode:>22} {wall:>10.3f} {base / wall:>16.2f}x")
     lines += [
         "",
         f"on {ncpu} CPU core(s)",
         "",
-        "chunk_size='auto' packs 8 consecutive small instances per worker",
-        "task, trading one process fork + one instance pickle per solve",
-        "for one per chunk; per-instance error isolation inside a chunk",
-        "is preserved (see docs/parallel.md).",
+        "solve_many forks one child per worker for the whole batch and",
+        "sends it task indices; 'fork per task' starts a fresh child per",
+        "solve (the service's SupervisedDispatch, one thread per worker).",
+        "Both validate every schedule (see docs/parallel.md).",
     ]
     return "\n".join(lines)
 
 
-def test_solve_many_chunked_dispatch(benchmark):
+def test_solve_many_warm_workers(benchmark):
     n_instances, timings = benchmark.pedantic(
-        _run_chunk_study, rounds=1, iterations=1
+        _run_warm_study, rounds=1, iterations=1
     )
-    _shared.publish(
-        "pool_chunked_dispatch", _render_chunks(n_instances, timings)
-    )
+    _shared.publish("pool_warm_workers", _render_warm(n_instances, timings))
     # Bit-identity across dispatch modes is asserted inside the study;
     # the wall-clock comparison is published, not asserted -- the win
     # depends on how fast the host forks relative to a 60-iteration solve.

@@ -9,17 +9,17 @@ One pool primitive, two transports, three consumers:
   contract).
 * :mod:`repro.pool.batch` -- ``solve_many``: fan one solver configuration
   out over many problem instances with bounded in-flight work, ordered
-  results, per-instance error isolation, and optional chunked dispatch
-  for small instances.
+  results and per-instance error isolation.
 * ``ResilientRunner.run_units(..., workers=N)`` -- parallel work-unit
   execution for every study and the best-known recompute
   (:mod:`repro.resilience.runner`).
 
-The pool supervises its children (:mod:`repro.pool.executor`): per-task
-wall-clock deadlines, in-pool retries of abnormal deaths, poison-task
-quarantine with structured reports (:mod:`repro.pool.errors`), content
-digests on every result crossing the pipe, and deterministic transport
-fault plans for chaos testing (:mod:`repro.pool.faults`).
+The pool supervises its children (:mod:`repro.pool.executor`): warm
+workers reused for a whole batch, per-task wall-clock deadlines, in-pool
+retries of abnormal deaths, poison-task quarantine with structured
+reports (:mod:`repro.pool.errors`), content digests on every result
+crossing the pipe, and deterministic transport fault plans for chaos
+testing (:mod:`repro.pool.faults`).
 
 The distributed layer adds a socket transport with the same guarantees
 (:mod:`repro.pool.net`), a host-agent runtime (:mod:`repro.pool.agent`),

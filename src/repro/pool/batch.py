@@ -41,7 +41,7 @@ from repro.pool.errors import (
 )
 from repro.pool.executor import ProcessPool
 from repro.pool.faults import PoolFaultPlan
-from repro.pool.worker import solve_chunk, solve_one
+from repro.pool.worker import solve_one
 from repro.problems.validation import ScheduleError, validate_schedule
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,14 +58,6 @@ __all__ = [
 ]
 
 Instance = "CDDInstance | UCDDCPInstance"
-
-#: ``chunk_size="auto"``: instances at or below this job count are
-#: considered small enough that fork/pickle overhead dominates the solve.
-CHUNK_SMALL_N = 20
-#: ``chunk_size="auto"``: how many consecutive small instances share one
-#: worker task.
-CHUNK_TARGET = 8
-
 
 @dataclasses.dataclass(frozen=True)
 class BatchError:
@@ -142,52 +134,6 @@ def _error_item(index: int, instance: Any, value: BaseException) -> BatchItem:
     )
 
 
-def _plan_chunks(
-    instances: Sequence[Any], chunk_size: int | str | None
-) -> list[list[int]]:
-    """Group instance indices into per-task chunks.
-
-    ``None`` keeps the process-per-instance contract.  ``"auto"`` packs
-    runs of *consecutive* small instances (``n <= CHUNK_SMALL_N``) into
-    chunks of :data:`CHUNK_TARGET`; large instances always get their own
-    task (their solve dominates the fork cost, and one process per solve
-    keeps crash isolation maximal where it is cheapest).  An integer
-    packs every ``chunk_size`` consecutive instances unconditionally.
-    """
-    if chunk_size is None:
-        return [[i] for i in range(len(instances))]
-    if chunk_size == "auto":
-        groups: list[list[int]] = []
-        run: list[int] = []
-        for i, inst in enumerate(instances):
-            n = getattr(inst, "n", None)
-            if n is not None and n <= CHUNK_SMALL_N:
-                run.append(i)
-                if len(run) >= CHUNK_TARGET:
-                    groups.append(run)
-                    run = []
-            else:
-                if run:
-                    groups.append(run)
-                    run = []
-                groups.append([i])
-        if run:
-            groups.append(run)
-        return groups
-    if isinstance(chunk_size, int) and not isinstance(chunk_size, bool):
-        if chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1, 'auto' or None, got {chunk_size}"
-            )
-        return [
-            list(range(lo, min(lo + chunk_size, len(instances))))
-            for lo in range(0, len(instances), chunk_size)
-        ]
-    raise ValueError(
-        f"chunk_size must be an int, 'auto' or None, got {chunk_size!r}"
-    )
-
-
 def _validated_item(instance: Any, index: int, result: Any) -> BatchItem:
     try:
         # Defense in depth: the transport digest proves the bytes
@@ -207,66 +153,34 @@ def iter_solve_many(
     task_timeout: float | None = None,
     task_retries: int = 0,
     pool_faults: PoolFaultPlan | None = None,
-    chunk_size: int | str | None = None,
     **solve_kwargs: Any,
 ) -> Iterator[BatchItem]:
     """Yield :class:`BatchItem` per instance in **completion** order.
 
     The streaming variant of :func:`solve_many` — use it to render
     progress or start post-processing before the stragglers finish.
-
-    ``chunk_size`` packs several instances per worker task to amortize
-    fork/pickle overhead on small instances (``"auto"`` groups runs of
-    consecutive instances with ``n <= 20`` eight per task; an int groups
-    unconditionally; ``None``, the default, keeps process-per-instance).
-    Results and seeds are identical either way; the one trade-off is
-    crash isolation — a worker that *dies* abnormally takes its whole
-    chunk's attempt with it, so every instance of the chunk degrades to
-    the same error record (ordinary per-instance exceptions remain
-    isolated inside the chunk).
+    Each instance is one pool task, run by one of ``workers`` warm
+    children (docs/parallel.md).
     """
-    chunks = _plan_chunks(instances, chunk_size)
     pool = ProcessPool(
         workers=workers, context=context, task_timeout=task_timeout,
         task_retries=task_retries, fault_plan=pool_faults,
     )
-    tasks = []
-    labels = []
-    for j, group in enumerate(chunks):
-        if len(group) == 1:
-            index = group[0]
-            tasks.append(
-                (solve_one, (instances[index], method, dict(solve_kwargs)))
-            )
-            labels.append(getattr(instances[index], "name", f"task{index}"))
-        else:
-            tasks.append(
-                (
-                    solve_chunk,
-                    ([instances[i] for i in group], method,
-                     dict(solve_kwargs)),
-                )
-            )
-            labels.append(f"chunk{j}[{group[0]}..{group[-1]}]")
-    for task_index, status, value in pool.imap_unordered(tasks, labels=labels):
+    tasks = [
+        (solve_one, (instance, method, dict(solve_kwargs)))
+        for instance in instances
+    ]
+    labels = [
+        getattr(instance, "name", f"task{index}")
+        for index, instance in enumerate(instances)
+    ]
+    for index, status, value in pool.imap_unordered(tasks, labels=labels):
         if status == "interrupt":
             raise KeyboardInterrupt
-        group = chunks[task_index]
         if status != "ok":
-            # A chunk-level abnormal death (crash/timeout/quarantine)
-            # cannot be attributed to one member; every instance in the
-            # chunk records the same error.
-            for index in group:
-                yield _error_item(index, instances[index], value)
-            continue
-        if len(group) == 1:
-            yield _validated_item(instances[group[0]], group[0], value)
-            continue
-        for index, (item_status, item_value) in zip(group, value):
-            if item_status != "ok":
-                yield _error_item(index, instances[index], item_value)
-            else:
-                yield _validated_item(instances[index], index, item_value)
+            yield _error_item(index, instances[index], value)
+        else:
+            yield _validated_item(instances[index], index, value)
 
 
 def solve_many(
@@ -277,7 +191,6 @@ def solve_many(
     task_timeout: float | None = None,
     task_retries: int = 0,
     pool_faults: PoolFaultPlan | None = None,
-    chunk_size: int | str | None = None,
     **solve_kwargs: Any,
 ) -> list[BatchItem]:
     """Solve every instance with one configuration; results in input order.
@@ -285,15 +198,12 @@ def solve_many(
     ``solve_kwargs`` are forwarded to the façade ``solve`` (``config=``,
     ``backend=``, method kwargs...).  A failed instance occupies its slot
     with ``item.ok == False`` and a populated ``item.error``.
-    ``chunk_size`` (``"auto"`` or an int) packs several small instances
-    per worker task — same results, less fork/pickle overhead; see
-    :func:`iter_solve_many`.
     """
     items: list[BatchItem | None] = [None] * len(instances)
     for item in iter_solve_many(
         instances, method, workers=workers, context=context,
         task_timeout=task_timeout, task_retries=task_retries,
-        pool_faults=pool_faults, chunk_size=chunk_size, **solve_kwargs,
+        pool_faults=pool_faults, **solve_kwargs,
     ):
         items[item.index] = item
     out = [item for item in items if item is not None]

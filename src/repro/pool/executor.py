@@ -1,4 +1,4 @@
-"""The pool primitive: bounded, supervised process-per-task execution.
+"""The pool primitive: bounded, supervised execution on warm children.
 
 Every parallel feature in this repo (ensemble sharding, ``solve_many``,
 ``ResilientRunner.run_units(workers=N)``) funnels through
@@ -9,21 +9,25 @@ by the one :class:`ChildSupervisor` defined here:
 
 * **Bounded in-flight work** -- at most ``workers`` child processes exist
   at any moment; remaining tasks queue on the host.
-* **Process-per-task** -- each task runs in a fresh child (no long-lived
-  worker loop).  Tasks here are whole solver invocations (seconds to
-  minutes), so the ~1 ms fork cost is noise, and a fresh process per task
-  means a crashed or leaky task can never poison a sibling.
+* **Warm workers** -- within one :meth:`ProcessPool.imap_unordered`
+  batch each of the ``workers`` slots forks one child that runs task
+  after task: a fork costs ~12 ms per task per worker on a 2-core box,
+  as much as a small solve.  A child is replaced only after a crash,
+  timeout, integrity failure or interrupt, and every child is reaped
+  when the batch ends, however it ends.  Service jobs and agent tasks
+  arrive after their children exist, so each gets a fresh child.
 * **Error isolation** -- a task that raises delivers its exception as a
   *value*; a task whose process dies outright (segfault, ``kill -9``)
   delivers :class:`WorkerCrashError`.  The pool itself never raises for a
   task failure.
 * **Supervision** -- an optional per-task wall-clock deadline
-  (``task_timeout``): a child that exceeds it is SIGTERM'd, escalated to
-  SIGKILL after ``term_grace_s``, and surfaces as
-  :class:`WorkerTimeoutError` -- siblings keep running and collecting
-  throughout.  Abnormal outcomes (crash, timeout, corrupt payload) are
-  retried in-pool up to ``task_retries`` times; a task that fails *every*
-  attempt is quarantined with a structured
+  (``task_timeout``), armed when the task is sent to its child: a child
+  that exceeds it is SIGTERM'd, escalated to SIGKILL after
+  ``term_grace_s``, and surfaces as :class:`WorkerTimeoutError` --
+  siblings keep running and collecting throughout.  Abnormal outcomes
+  (crash, timeout, corrupt payload) are retried in-pool up to
+  ``task_retries`` times; a task that fails *every* attempt is
+  quarantined with a structured
   :class:`~repro.pool.errors.PoisonTaskReport` instead of being retried
   forever.
 * **Result integrity** -- children ship results as an explicit pickle
@@ -34,12 +38,14 @@ by the one :class:`ChildSupervisor` defined here:
   re-raised on the host when its result is collected, preserving the
   resilient runner's stop-scheduling/flush/skip semantics.
 
-Results travel over one ``multiprocessing.Pipe`` per task.  The
-supervisor exposes its pipes and its next watchdog deadline; each front
-end composes a single :func:`multiprocessing.connection.wait` over them
-plus its own duties (the pool's retry cool-downs, the service's cancel
-tick, the agent's client socket), so a slow task never blocks collection
-of a fast one.
+Each child holds the batch's task table -- inherited at fork, or
+pickled once per child under ``spawn``/``forkserver`` -- so the parent
+sends only ``(task index, fault directive)`` down the child's duplex
+pipe.  The supervisor exposes its busy pipes and its next watchdog
+deadline; each front end composes a single
+:func:`multiprocessing.connection.wait` over them plus its own duties
+(the pool's retry cool-downs, the service's cancel tick, the agent's
+client socket), so a slow task never blocks collection of a fast one.
 
 The default start method is the platform's (``fork`` on Linux), which
 permits closure tasks.  Payloads used by the library itself are built
@@ -115,17 +121,17 @@ _digest = sha256_hex
 
 def _child_main(
     conn: Connection,
-    fn: Callable[..., Any],
-    args: tuple,
-    directive: str | None = None,
+    tasks: Sequence[tuple[Callable[..., Any], tuple]],
+    parent_end: Connection,
 ) -> None:
-    """Child entry point: run the task, ship one tagged result, exit.
+    """Child entry point: run tasks by index until told to stop.
 
-    SIGTERM is reset to its default action first: a forked child
-    inherits the parent's Python handlers (``repro serve`` installs one
-    for its drain), and a swallowed SIGTERM would make every watchdog
-    reap wait out the full SIGKILL grace.  SIGINT keeps its handler so a
-    Ctrl-C still reaches the task as ``KeyboardInterrupt``.
+    The parent sends ``(index, directive)`` and gets one tagged result
+    back per message; ``None`` ends the child with exit code 0, and so
+    do EOF (the parent is gone; the child closes its inherited copy of
+    ``parent_end`` so that EOF can arrive) and a Ctrl-C while idle.  An
+    in-task exception is the task's value and keeps the child; an
+    in-task ``KeyboardInterrupt`` is reported and ends it.
 
     ``directive`` arms deterministic fault injection
     (:mod:`repro.pool.faults`): ``kill`` exits abruptly before running
@@ -134,29 +140,44 @@ def _child_main(
     it); ``corrupt-payload`` runs the task and computes the true digest,
     then flips a byte of the pickled result before sending -- the
     parent's digest check must catch it.
+
+    SIGTERM is reset to its default action first: a forked child
+    inherits the parent's Python handlers (``repro serve`` installs one
+    for its drain), and a swallowed SIGTERM would make every watchdog
+    reap wait out the full SIGKILL grace.  SIGINT keeps its handler so a
+    Ctrl-C still reaches a running task as ``KeyboardInterrupt``.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent_end.close()
     try:
-        if directive == "kill":
-            conn.close()
-            os._exit(77)
-        if directive == "hang":
-            while True:  # pragma: no cover - only ever exits via a signal
+        # An idle child blocks in recv() by design: the parent sends
+        # work or None, or dies (EOF), and reaps the child either way.
+        while (message := conn.recv()) is not None:  # repro-lint: disable=RPL008 -- idle warm child; a stop message, EOF or the parent's reap ends the wait
+            index, directive = message
+            if directive == "kill":
+                conn.close()
+                os._exit(77)
+            while directive == "hang":  # pragma: no cover - signal exits
                 time.sleep(3600)
-        value = fn(*args)
-        blob = pickle.dumps(value)
-        digest = _digest(blob)
-        if directive == "corrupt-payload":
-            blob = blob[:-1] + bytes([blob[-1] ^ 0xFF])
-        conn.send(("ok", blob, digest))
-    except KeyboardInterrupt:
-        conn.send(("interrupt", None))
-    except BaseException as exc:  # noqa: BLE001 - exceptions travel as values
-        try:
-            conn.send(("error", exc))
-        except Exception:
-            # Unpicklable exception: degrade to its repr, keep the type name.
-            conn.send(("error", RuntimeError(f"unpicklable {exc!r}")))
+            fn, args = tasks[index]
+            try:
+                blob = pickle.dumps(fn(*args))
+            except KeyboardInterrupt:
+                conn.send(("interrupt", None))
+                break
+            except BaseException as exc:  # noqa: BLE001 - exceptions travel as values
+                try:
+                    conn.send(("error", exc))
+                except Exception:
+                    # Unpicklable exception: degrade to its repr.
+                    conn.send(("error", RuntimeError(f"unpicklable {exc!r}")))
+                continue
+            digest = _digest(blob)
+            if directive == "corrupt-payload":
+                blob = blob[:-1] + bytes([blob[-1] ^ 0xFF])
+            conn.send(("ok", blob, digest))
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass  # the parent is gone, or Ctrl-C reached an idle child
     finally:
         conn.close()
 
@@ -165,8 +186,21 @@ def reap_child(
     process: mp.process.BaseProcess,
     connection: Connection,
     term_grace_s: float,
+    busy: bool = True,
 ) -> None:
-    """SIGTERM the child, escalate to SIGKILL after the grace period."""
+    """Stop the child and wait for it to exit, then close its pipe.
+
+    A busy child (watchdog, cancel, batch abandoned mid-task) is
+    SIGTERM'd at once; an idle one is sent ``None`` and gets
+    ``term_grace_s`` to exit 0 on its own.  SIGTERM escalates to SIGKILL
+    after the grace period.
+    """
+    if not busy:
+        try:
+            connection.send(None)
+        except OSError:
+            pass  # the child is already gone
+        process.join(term_grace_s)
     connection.close()
     if process.is_alive():
         process.terminate()
@@ -230,9 +264,10 @@ class PoolFuture:
 
     index: int
     label: str
+    #: The child running the attempt, and the parent's end of its pipe.
     process: mp.process.BaseProcess
     connection: Connection
-    #: 1-based attempt number of this spawn.
+    #: 1-based attempt number.
     attempt: int
     #: Absolute watchdog deadline (``None`` = unsupervised).
     deadline: float | None
@@ -242,19 +277,25 @@ class ChildSupervisor:
     """Start, watch, reap and classify task children; keep the ledger.
 
     The only code in the repo that starts :func:`_child_main`.  One
-    instance holds one run's state -- the live children keyed by their
-    result pipe, and the :class:`AttemptLedger` -- so front ends build
-    one per batch, job or client session.  It never blocks on its own:
-    callers wait on :attr:`pipes` (plus whatever else they serve) until
-    :meth:`next_wakeup`, then hand the ready connections to
+    instance holds one run's state -- the busy children keyed by their
+    pipe, the idle warm ones, and the :class:`AttemptLedger` -- so front
+    ends build one per batch, job or client session.  It never blocks on
+    its own: callers wait on :attr:`pipes` (plus whatever else they
+    serve) until :meth:`next_wakeup`, then hand the ready connections to
     :meth:`collect`.
+
+    Given the batch's task table (``tasks``), a child that finishes a
+    task with ``ok`` or ``error`` stays warm and runs the next one it is
+    sent.  Without a table every :meth:`start` forks a fresh child with
+    a one-entry table that ends after its one task.
 
     Outcomes use one vocabulary: the child's own ``ok`` (value = the
     ``(blob, digest)`` pair, still unopened), ``error`` and
     ``interrupt``, plus the abnormal ``crash`` (dead child, torn or
     undecodable message) and ``timeout`` (watchdog reap).  Local front
     ends pass each outcome through :meth:`settle`, which opens the blob
-    (adding ``integrity``) and applies the ledger.
+    (adding ``integrity``) and applies the ledger.  A child with an
+    abnormal outcome or an interrupt is never reused.
     """
 
     def __init__(
@@ -265,6 +306,7 @@ class ChildSupervisor:
         term_grace_s: float = 0.5,
         fault_plan: PoolFaultPlan | None = None,
         clock: Callable[[], float] = time.monotonic,
+        tasks: Sequence[tuple[Callable[..., Any], tuple]] | None = None,
     ) -> None:
         self.task_timeout = task_timeout
         self.term_grace_s = term_grace_s
@@ -272,14 +314,16 @@ class ChildSupervisor:
         self.ledger = AttemptLedger(task_retries)
         self._ctx = context
         self._clock = clock
+        self._tasks = tasks
         self._children: dict[Connection, PoolFuture] = {}
+        self._idle: list[tuple[mp.process.BaseProcess, Connection]] = []
 
     def __len__(self) -> int:
         return len(self._children)
 
     @property
     def pipes(self) -> list[Connection]:
-        """The result pipes of every live child, for the caller's wait."""
+        """The pipes of every busy child, for the caller's wait."""
         return list(self._children)
 
     def next_wakeup(self) -> float | None:
@@ -291,29 +335,58 @@ class ChildSupervisor:
         return min(deadlines) if deadlines else None
 
     def start(
-        self, index: int, label: str, fn: Callable[..., Any], args: tuple
+        self,
+        index: int,
+        label: str,
+        fn: Callable[..., Any] | None = None,
+        args: tuple = (),
     ) -> None:
-        """Fork the task's next attempt, armed with its fault directive."""
+        """Send the task's next attempt to a child, armed with its fault
+        directive; the watchdog deadline starts now.
+
+        With a task table, ``index`` names the task and an idle warm
+        child runs it (one is forked if none is idle); without one,
+        ``fn(*args)`` runs in a fresh child.
+        """
         attempt = self.ledger.next_attempt(index)
         directive = (
             self.fault_plan.directive(index, attempt)
             if self.fault_plan is not None else None
         )
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_child_main, args=(send, fn, args, directive)
-        )
-        proc.start()
-        # The parent must not hold the child's write end open, or a dead
-        # child would never raise EOFError on recv.
-        send.close()
+        if self._tasks is None:
+            process, conn = self._send((0, directive), [(fn, args)])
+            conn.send(None)  # one task, then the child ends
+        else:
+            process, conn = self._send((index, directive), self._tasks)
         deadline = (
             self._clock() + self.task_timeout
             if self.task_timeout is not None else None
         )
-        self._children[recv] = PoolFuture(
-            index, label, proc, recv, attempt, deadline
+        self._children[conn] = PoolFuture(
+            index, label, process, conn, attempt, deadline
         )
+
+    def _send(
+        self, message: tuple[int, str | None], table: Sequence[Any]
+    ) -> tuple[mp.process.BaseProcess, Connection]:
+        """Hand ``message`` to an idle child, or fork one holding ``table``."""
+        while self._idle:
+            process, conn = self._idle.pop()
+            try:
+                conn.send(message)
+                return process, conn
+            except OSError:  # it died while idle; fork a replacement
+                reap_child(process, conn, self.term_grace_s)
+        conn, child_end = self._ctx.Pipe()
+        process = self._ctx.Process(
+            target=_child_main, args=(child_end, table, conn)
+        )
+        process.start()
+        # The parent must not hold the child's end open, or a dead child
+        # would never raise EOFError on recv.
+        child_end.close()
+        conn.send(message)
+        return process, conn
 
     def collect(
         self, ready: Iterable[Any]
@@ -323,13 +396,21 @@ class ChildSupervisor:
         ``ready`` is what the caller's wait returned; objects that are
         not this supervisor's pipes (a client socket) are ignored.  A
         result that raced its deadline is still collected (``poll()`` is
-        checked before reaping).
+        checked before reaping).  A child whose task ended ``ok`` or
+        ``error`` goes back to the idle list when there is a task table;
+        every other child is reaped.
         """
         out = []
         for conn in ready:
             fut = self._children.pop(conn, None)
-            if fut is not None:
-                out.append((fut, *self._receive(fut)))
+            if fut is None:
+                continue
+            status, value = self._receive(fut)
+            if self._tasks is not None and status in ("ok", "error"):
+                self._idle.append((fut.process, conn))
+            else:
+                reap_child(fut.process, conn, self.term_grace_s, busy=False)
+            out.append((fut, status, value))
         now = self._clock()
         for conn, fut in list(self._children.items()):
             if fut.deadline is None or now < fut.deadline or conn.poll():
@@ -351,23 +432,20 @@ class ChildSupervisor:
         escape and kill the caller's loop.
         """
         try:
-            try:
-                # Bounded by construction: only connections that wait()
-                # reported ready (or poll() confirmed) reach this receive,
-                # so recv() returns without blocking; hung children are
-                # the watchdog's job, not this read's.
-                message = fut.connection.recv()  # repro-lint: disable=RPL008 -- recv only after wait()/poll() readiness; hangs are reaped by the deadline watchdog
-            finally:
-                fut.connection.close()
-            fut.process.join()
-        except EOFError:
+            # Bounded by construction: only connections that wait()
+            # reported ready (or poll() confirmed) reach this receive,
+            # so recv() returns without blocking; hung children are
+            # the watchdog's job, not this read's.
+            message = fut.connection.recv()  # repro-lint: disable=RPL008 -- recv only after wait()/poll() readiness; hangs are reaped by the deadline watchdog
+        except (EOFError, ConnectionResetError):
+            # A dead child's pipe reads as EOF, or as a reset if it died
+            # with a message unread.
             fut.process.join()
             return "crash", WorkerCrashError(
                 f"worker process for task {fut.label!r} died without "
                 f"reporting a result (exit code {fut.process.exitcode})"
             )
         except Exception as exc:  # noqa: BLE001 - isolate decode failures
-            fut.process.join()
             return "crash", WorkerCrashError(
                 f"result for task {fut.label!r} could not be received: "
                 f"{exc!r}"
@@ -383,9 +461,10 @@ class ChildSupervisor:
 
         An ``ok`` blob is checked against its digest before it is
         unpickled (``integrity`` on a mismatch, ``crash`` if it will not
-        load).  Kept out of :meth:`collect` so the host agent can forward
-        the blob unopened, under the child's own digest, for the client
-        to check end to end.
+        load; either way its child is reaped, not reused).  Kept out of
+        :meth:`collect` so the host agent can forward the blob unopened,
+        under the child's own digest, for the client to check end to
+        end.
 
         Returns the task's final ``(status, value)`` -- an exhausted
         abnormal attempt becomes ``("error", raw error or poison)`` --
@@ -407,6 +486,8 @@ class ChildSupervisor:
                         f"result for task {fut.label!r} could not be "
                         f"deserialized: {exc!r}"
                     )
+            if status != "ok":
+                self._retire(fut)
         if status not in ABNORMAL_OUTCOMES:
             return status, value
         error = self.ledger.fail(
@@ -414,11 +495,22 @@ class ChildSupervisor:
         )
         return None if error is None else ("error", error)
 
+    def _retire(self, fut: PoolFuture) -> None:
+        """Reap an idle child whose last result must not be trusted."""
+        child = (fut.process, fut.connection)
+        if child in self._idle:
+            self._idle.remove(child)
+            reap_child(*child, self.term_grace_s, busy=False)
+
     def close(self) -> None:
-        """Reap every live child (generator cleanup, session end, cancel)."""
+        """Reap every child (batch end, generator cleanup, session end,
+        cancel): busy ones are killed, idle ones told to stop."""
         for conn, fut in self._children.items():
             reap_child(fut.process, conn, self.term_grace_s)
+        for process, conn in self._idle:
+            reap_child(process, conn, self.term_grace_s, busy=False)
         self._children.clear()
+        self._idle.clear()
 
 
 class ProcessPool:
@@ -437,13 +529,14 @@ class ProcessPool:
         disables the watchdog.
     task_retries:
         How many times an *abnormal* attempt (crash/timeout/corrupt
-        payload -- never an ordinary in-task exception) is retried in a
-        fresh child.  With the default of 0 a single failure surfaces its
-        raw error; with retries, a task failing every attempt surfaces
+        payload -- never an ordinary in-task exception) is retried; the
+        failed attempt's child is replaced.  With the default of 0 a
+        single failure surfaces its raw error; with retries, a task
+        failing every attempt surfaces
         :class:`~repro.pool.errors.PoisonTaskError` carrying the full
         attempt history.
     retry_delay:
-        Optional ``attempt -> seconds`` cool-down before respawning
+        Optional ``attempt -> seconds`` cool-down before retrying
         (0-based attempt).  Delays never block sibling collection: they
         are folded into the pipe-multiplexing timeout.
     term_grace_s:
@@ -516,7 +609,7 @@ class ProcessPool:
         cooling: list[tuple[float, int]] = []  # (ready_at, index)
         supervisor = ChildSupervisor(
             self._ctx, self.task_timeout, self.task_retries,
-            self.term_grace_s, self.fault_plan, self._clock,
+            self.term_grace_s, self.fault_plan, self._clock, tasks=specs,
         )
         try:
             while pending or cooling or supervisor:
@@ -525,7 +618,7 @@ class ProcessPool:
                     index = self._next_runnable(pending, cooling, now)
                     if index is None:
                         break
-                    supervisor.start(index, names[index], *specs[index])
+                    supervisor.start(index, names[index])
                 # The next duty: a watchdog deadline, or a cooled-down
                 # retry that has a free worker to run on.
                 wakeups = [supervisor.next_wakeup()]

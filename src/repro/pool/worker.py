@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.problems.ucddcp import UCDDCPInstance
     from repro.resilience.faults import FaultPlan
 
-__all__ = ["ShardResult", "run_shard", "solve_one", "solve_chunk"]
+__all__ = ["ShardResult", "run_shard", "solve_one"]
 
 
 @dataclasses.dataclass
@@ -102,27 +102,3 @@ def solve_one(
     from repro.core.solver import solver_for
 
     return solver_for(instance).solve(method, **kwargs)
-
-
-def solve_chunk(
-    instances: "list", method: str, kwargs: dict
-) -> list[tuple[str, Any]]:
-    """Several façade solves in one worker process (chunked dispatch).
-
-    Small instances solve in milliseconds, so forking a process and
-    pickling an instance per solve dominates the batch wall time;
-    :func:`repro.pool.batch.solve_many` with ``chunk_size`` packs
-    consecutive small instances into one task to amortize that overhead.
-    Error isolation stays per instance: each solve runs under its own
-    ``try``, returning ``("ok", result)`` or ``("error", exception)`` in
-    input order — one bad instance never takes down its chunk-mates.
-    Determinism is untouched: each solve seeds from its config exactly
-    as the unchunked path does.
-    """
-    out: list[tuple[str, Any]] = []
-    for instance in instances:
-        try:
-            out.append(("ok", solve_one(instance, method, dict(kwargs))))
-        except Exception as exc:  # noqa: BLE001 - errors travel as values
-            out.append(("error", exc))
-    return out

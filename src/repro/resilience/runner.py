@@ -25,6 +25,7 @@ is the honest contract for CPU-bound simulation cells.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -304,11 +305,12 @@ class ResilientRunner:
 
         ``workers`` (default: the runner's configured count) > 1 executes
         units concurrently in worker processes — same outcomes, same
-        checkpoint/resume and retry semantics, with each unit's whole
-        retry loop (and any fault-plan counters it sees) confined to its
-        own process, so fault injection stays deterministic *per unit*
-        under concurrency (docs/parallel.md).  Outcomes are always
-        reported in unit-definition order.
+        checkpoint/resume and retry semantics.  Each unit's whole retry
+        loop runs in one child, and every unit starts from the fault
+        plan's counters as the parent holds them, whichever child runs
+        it, so fault injection stays deterministic *per unit* under
+        concurrency (docs/parallel.md).  Outcomes are always reported in
+        unit-definition order.
         """
         check_workers(workers)
         effective = workers if workers is not None else self.workers
@@ -352,8 +354,8 @@ class ResilientRunner:
         workers: int,
     ) -> RunReport:
         """Concurrent ``run_units``: checkpointed units replay first, the
-        rest run on a bounded process pool (one unit = one child running
-        the full :meth:`_attempt` retry loop).
+        rest run on a bounded process pool (one unit = one task running
+        the full :meth:`_attempt` retry loop in a warm child).
 
         Requires a fork-capable platform: unit closures and the runner
         itself reach the children by process inheritance, not pickling.
@@ -514,9 +516,16 @@ class ResilientRunner:
 def _attempt_in_worker(runner: ResilientRunner, unit: WorkUnit) -> UnitOutcome:
     """Child-process body of the parallel ``run_units`` mode.
 
-    Runs the unit's *entire* retry loop in the child so retry counts, and
-    any fault-plan counters the unit's closure sees (a fork-copied plan
-    starts at the parent's state), accumulate per unit — never shared
-    across concurrently running units.
+    Runs the unit's *entire* retry loop in the child, against the fault
+    plan as the child inherited it: a warm child runs several units, so
+    the plan's counters are put back after each one.  Retry counts and
+    fault-plan counters thus accumulate per unit -- never shared across
+    units, whichever child runs them.
     """
-    return runner._attempt(unit)
+    plan = runner.fault_plan
+    pristine = copy.deepcopy(vars(plan)) if plan is not None else None
+    try:
+        return runner._attempt(unit)
+    finally:
+        if plan is not None:
+            vars(plan).update(pristine)

@@ -23,6 +23,7 @@ from repro.instances.biskup import biskup_instance
 from repro.instances.ucddcp_gen import ucddcp_instance
 from repro.pool.executor import ProcessPool, WorkerCrashError
 from repro.pool.sharding import plan_shards
+from repro.resilience.faults import FaultPlan, parse_fault
 from repro.resilience.runner import ResilientRunner, RetryPolicy, WorkUnit
 
 SA_FAST = dict(iterations=60, grid_size=4, block_size=32, seed=7,
@@ -356,9 +357,33 @@ class TestParallelRunUnits:
         assert flaky.ok
         assert flaky.attempts == 2
 
+    def test_fault_plan_counters_are_per_unit(self, tmp_path):
+        # Every unit counts launches from the plan as the parent holds it,
+        # whichever child runs it and whatever ran there before: launch #1
+        # fails in each unit and its in-process retry (launch #2) passes.
+        plan = FaultPlan([parse_fault("launch:1:transient")])
+        units = [WorkUnit(key=f"u{i}", run=_unit_launches(plan, i))
+                 for i in range(6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runner = self._runner(tmp_path, workers=2, fault_plan=plan)
+            report = runner.run_units(units)
+        assert [(o.key, o.status, o.attempts, o.payload)
+                for o in report.outcomes] == [
+            (f"u{i}", "ok", 2, {"v": i}) for i in range(6)
+        ]
+        assert plan.counts()["launch"] == 0  # the parent's plan is untouched
+
 
 def _unit_payload(v):
     def run():
+        return {"v": v}
+    return run
+
+
+def _unit_launches(plan, v):
+    def run():
+        plan.record("launch")
         return {"v": v}
     return run
 
