@@ -8,9 +8,11 @@ then runs the O(n) algorithm of [7] (CDD) or [8] (UCDDCP) on the thread's
 own job sequence.  "The processing times of the jobs are not cached because
 there are only a few reads from it inside the fitness function."
 
-Numerically the whole ensemble is evaluated with the batched routines of
-:mod:`repro.seqopt.batched` -- exactly the computation every thread performs,
-vectorized over the thread axis.
+Numerically every thread's sequence is scored by the compiled per-row
+program of :mod:`repro.seqopt.compiled` -- the same O(n) loop a CUDA thread
+runs, reading the staged per-job arrays through the thread's sequence with
+no gathered copies (:mod:`repro.seqopt.batched` falls back to its NumPy
+reference when no compiled build is available).
 
 Cost model (calibrated against the paper's published GT 560M runtimes, see
 EXPERIMENTS.md): the dominant term is linear in ``n``.  ``CDD_CYCLES_PER_JOB``
@@ -20,12 +22,8 @@ divergence and uncoalesced-gather penalties of the real device.
 
 from __future__ import annotations
 
-
 from repro.gpusim.kernel import Kernel, KernelCost, ThreadContext, kernel
-from repro.seqopt.batched import (
-    batched_cdd_from_gathered,
-    batched_ucddcp_from_gathered,
-)
+from repro.seqopt.batched import evaluate_cdd, evaluate_ucddcp
 
 __all__ = [
     "make_cdd_fitness_kernel",
@@ -116,10 +114,10 @@ def make_cdd_fitness_kernel(use_texture: bool = False) -> Kernel:
         # Stage penalties into shared memory, then barrier before reads
         # (Section VI-A protocol).
         ctx.syncthreads()
-        d = float(ctx.constant["due_date"])
-        s = seqs.array[: ctx.total_threads]
-        out.array[: ctx.total_threads] = batched_cdd_from_gathered(
-            p.array[s], a.array[s], b.array[s], d
+        t = ctx.total_threads
+        out.array[:t] = evaluate_cdd(
+            seqs.array[:t], p.array, a.array, b.array,
+            float(ctx.constant["due_date"]),
         )
 
     return fitness_cdd
@@ -137,10 +135,10 @@ def make_ucddcp_fitness_kernel(use_texture: bool = False) -> Kernel:
     def fitness_ucddcp(ctx: ThreadContext, seqs, p, m, a, b, g, out) -> None:
         """Evaluate ``out[t] = optimal UCDDCP penalty of sequence t``."""
         ctx.syncthreads()
-        d = float(ctx.constant["due_date"])
-        s = seqs.array[: ctx.total_threads]
-        out.array[: ctx.total_threads] = batched_ucddcp_from_gathered(
-            p.array[s], m.array[s], a.array[s], b.array[s], g.array[s], d
+        t = ctx.total_threads
+        out.array[:t] = evaluate_ucddcp(
+            seqs.array[:t], p.array, m.array, a.array, b.array, g.array,
+            float(ctx.constant["due_date"]),
         )
 
     return fitness_ucddcp

@@ -8,8 +8,10 @@ subpackage provides:
   algorithm of Lässig et al. [7] for the CDD.
 * :func:`~repro.seqopt.ucddcp_linear.optimize_ucddcp_sequence` -- the O(n)
   algorithm of Awasthi et al. [8] for the UCDDCP.
-* :mod:`~repro.seqopt.batched` -- fully vectorized ensemble versions of both
-  (the workhorse behind the simulated fitness kernel: one row per thread).
+* :mod:`~repro.seqopt.batched` -- ensemble versions of both (the workhorse
+  behind the simulated fitness kernel: one row per thread), run by the
+  compiled per-row loop of :mod:`~repro.seqopt.compiled` with a vectorized
+  NumPy reference as fallback.
 * :mod:`~repro.seqopt.pure_python` -- list-based implementations used as the
   honest *serial CPU* comparator when measuring speedups.
 * :mod:`~repro.seqopt.lp_reference` -- scipy ``linprog`` on the exact

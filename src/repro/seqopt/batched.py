@@ -1,25 +1,36 @@
-"""Vectorized ensemble versions of the O(n) sequence optimizers.
+"""Ensemble versions of the O(n) sequence optimizers.
 
 These routines evaluate *S* job sequences at once -- one row per simulated
-CUDA thread -- using pure NumPy over the ensemble axis.  They are the
-numerical content of the paper's fitness kernel: every GPU thread runs the
-same O(n) program on its own sequence, which is exactly what a batched
-row-wise computation expresses (SIMT semantics).
+CUDA thread.  They are the numerical content of the paper's fitness kernel:
+every GPU thread runs the same O(n) program on its own sequence.
 
-Two API levels are provided:
+Three API levels are provided:
 
-* ``*_objective(instance, sequences)`` -- gather the instance arrays through
-  the ``(S, n)`` integer sequence matrix and evaluate.
-* ``*_from_gathered(...)`` -- operate directly on already-gathered
-  sequence-ordered arrays; this is what the simulated fitness kernel calls
-  after staging data into (simulated) shared memory.
+* ``batched_*_objective(instance, sequences)`` -- validate the ``(S, n)``
+  sequence matrix and evaluate it.
+* ``evaluate_*(seqs, <per-job arrays>, due_date)`` -- evaluate an int32
+  sequence matrix against the ungathered per-job arrays; this is what the
+  fitness kernel calls.  It runs the compiled per-row program of
+  :mod:`repro.seqopt.compiled` (``_fitness.c``) and falls back to the NumPy
+  reference below only when no compiled build could be loaded.
+* ``*_from_gathered(...)`` -- the NumPy reference: whole-array passes over
+  already-gathered sequence-ordered arrays.  It also serves the
+  ``return_completions``/``return_details`` callers.
 
 The closed forms mirror ``cdd_linear``/``ucddcp_linear``: with prefix sums
 ``A_k = sum(alpha[:k])`` and suffix sums ``B_k = sum(beta[k-1:])`` the
 optimal due-date position is ``r = min(tau, max{k : B_k >= A_{k-1}})``
 (or 0 -- keep the start-at-zero schedule -- when ``B_{tau+1} >= A_tau``),
 and the optimal schedule is the initial one shifted right by
-``d - C_init[r]``.  Everything is O(S*n) with no Python-level loops.
+``d - C_init[r]``.  Everything is O(S*n).
+
+Exactness contract: the compiled program repeats the reference's
+operations in the same order -- sequential prefix sums, the same
+``tau``/``k_max``/``keep`` rule -- except that it accumulates the penalty
+sums in sequence order where ``np.einsum`` picks its own.  On
+integer-valued instances (Biskup, UCDDCP generator, OR-library) every sum
+is exact, so both paths and :mod:`repro.seqopt.pure_python` agree bit for
+bit; on fractional data they agree to a relative 1e-12.
 """
 
 from __future__ import annotations
@@ -27,6 +38,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.seqopt import compiled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.problems.cdd import CDDInstance
@@ -37,17 +50,64 @@ __all__ = [
     "batched_ucddcp_objective",
     "batched_cdd_from_gathered",
     "batched_ucddcp_from_gathered",
-    "gather_sequences",
+    "evaluate_cdd",
+    "evaluate_ucddcp",
 ]
 
 
-def gather_sequences(values: np.ndarray, sequences: np.ndarray) -> np.ndarray:
-    """Gather per-job ``values`` into sequence order for every row.
+def _check_range(seqs: np.ndarray, n: int) -> None:
+    if seqs.size and (seqs.min() < 0 or seqs.max() >= n):
+        raise IndexError(f"job index outside [0, {n}) in the sequence matrix")
 
-    ``sequences`` has shape ``(S, n)``; returns ``values[sequences]`` with
-    shape ``(S, n)`` (a fancy-indexing broadcast, no copy of ``values``).
+
+def _index_matrix(sequences: np.ndarray, n: int) -> np.ndarray:
+    """``sequences`` as a validated, C-contiguous int32 ``(S, n)`` matrix."""
+    seqs = np.asarray(sequences)
+    if seqs.ndim != 2 or seqs.shape[1] != n:
+        raise ValueError(f"sequences must have shape (S, {n}), got {seqs.shape}")
+    if seqs.dtype.kind not in "iu":
+        raise IndexError(f"job indices must be integers, got {seqs.dtype}")
+    if seqs.dtype != np.int32:
+        _check_range(seqs, n)  # before narrowing, so no index can wrap
+    return np.ascontiguousarray(seqs, dtype=np.int32)
+
+
+def evaluate_cdd(
+    seqs: np.ndarray,
+    p: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    due_date: float,
+) -> np.ndarray:
+    """Optimal CDD objective of every row of the int32 matrix ``seqs``.
+
+    ``p``, ``a`` and ``b`` are the float64 per-job arrays in job-index
+    order.  Raises :class:`IndexError` for a job index outside ``[0, n)``.
     """
-    return values[sequences]
+    lib = compiled.LIB
+    if lib is not None:
+        return compiled.cdd_objective(lib, seqs, p, a, b, due_date)
+    _check_range(seqs, p.size)
+    return batched_cdd_from_gathered(p[seqs], a[seqs], b[seqs], due_date)
+
+
+def evaluate_ucddcp(
+    seqs: np.ndarray,
+    p: np.ndarray,
+    m: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    g: np.ndarray,
+    due_date: float,
+) -> np.ndarray:
+    """Optimal UCDDCP objective of every row (see :func:`evaluate_cdd`)."""
+    lib = compiled.LIB
+    if lib is not None:
+        return compiled.ucddcp_objective(lib, seqs, p, m, a, b, g, due_date)
+    _check_range(seqs, p.size)
+    return batched_ucddcp_from_gathered(
+        p[seqs], m[seqs], a[seqs], b[seqs], g[seqs], due_date
+    )
 
 
 # ----------------------------------------------------------------------
@@ -121,16 +181,14 @@ def batched_cdd_from_gathered(
 def batched_cdd_objective(
     instance: "CDDInstance", sequences: np.ndarray
 ) -> np.ndarray:
-    """Optimal CDD objective for each row of the ``(S, n)`` sequence matrix."""
-    seqs = np.asarray(sequences, dtype=np.intp)
-    if seqs.ndim != 2 or seqs.shape[1] != instance.n:
-        raise ValueError(
-            f"sequences must have shape (S, {instance.n}), got {seqs.shape}"
-        )
-    return batched_cdd_from_gathered(
-        instance.processing[seqs],
-        instance.alpha[seqs],
-        instance.beta[seqs],
+    """Optimal CDD objective for each row of the ``(S, n)`` sequence matrix.
+
+    Any integer dtype and memory layout is accepted (cast to C-contiguous
+    int32); a job index outside ``[0, n)`` raises :class:`IndexError`.
+    """
+    seqs = _index_matrix(sequences, instance.n)
+    return evaluate_cdd(
+        seqs, instance.processing, instance.alpha, instance.beta,
         instance.due_date,
     )
 
@@ -201,17 +259,12 @@ def batched_ucddcp_from_gathered(
 def batched_ucddcp_objective(
     instance: "UCDDCPInstance", sequences: np.ndarray
 ) -> np.ndarray:
-    """Optimal UCDDCP objective for each row of the sequence matrix."""
-    seqs = np.asarray(sequences, dtype=np.intp)
-    if seqs.ndim != 2 or seqs.shape[1] != instance.n:
-        raise ValueError(
-            f"sequences must have shape (S, {instance.n}), got {seqs.shape}"
-        )
-    return batched_ucddcp_from_gathered(
-        instance.processing[seqs],
-        instance.min_processing[seqs],
-        instance.alpha[seqs],
-        instance.beta[seqs],
-        instance.gamma[seqs],
-        instance.due_date,
+    """Optimal UCDDCP objective for each row of the sequence matrix.
+
+    Same input contract as :func:`batched_cdd_objective`.
+    """
+    seqs = _index_matrix(sequences, instance.n)
+    return evaluate_ucddcp(
+        seqs, instance.processing, instance.min_processing, instance.alpha,
+        instance.beta, instance.gamma, instance.due_date,
     )

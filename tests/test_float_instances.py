@@ -18,6 +18,7 @@ from repro.seqopt.batched import batched_cdd_objective, batched_ucddcp_objective
 from repro.seqopt.cdd_linear import optimize_cdd_sequence
 from repro.seqopt.lp_reference import lp_optimize_sequence
 from repro.seqopt.ucddcp_linear import optimize_ucddcp_sequence
+from tests.test_batched import FLOAT_RTOL, reference_cdd, reference_ucddcp
 
 finite_pos = st.floats(0.1, 50.0, allow_nan=False, allow_infinity=False)
 finite_nonneg = st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False)
@@ -61,6 +62,9 @@ class TestFloatCDD:
         rng = np.random.default_rng(0)
         seqs = np.argsort(rng.random((8, inst.n)), axis=1)
         batched = batched_cdd_objective(inst, seqs)
+        # Compiled penalty sums run in sequence order, einsum's do not.
+        np.testing.assert_allclose(batched, reference_cdd(inst, seqs),
+                                   rtol=FLOAT_RTOL, atol=0)
         scalar = [optimize_cdd_sequence(inst, s).objective for s in seqs]
         np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=1e-9)
 
@@ -89,6 +93,8 @@ class TestFloatUCDDCP:
         rng = np.random.default_rng(1)
         seqs = np.argsort(rng.random((8, inst.n)), axis=1)
         batched = batched_ucddcp_objective(inst, seqs)
+        np.testing.assert_allclose(batched, reference_ucddcp(inst, seqs),
+                                   rtol=FLOAT_RTOL, atol=0)
         scalar = [optimize_ucddcp_sequence(inst, s).objective for s in seqs]
         np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=1e-9)
 
