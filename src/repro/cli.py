@@ -17,7 +17,8 @@ Commands
 (:mod:`repro.resilience`): ``--resume`` replays checkpointed work units,
 ``--max-retries``/``--unit-timeout`` bound transient-failure retries, and
 ``--inject-fault`` arms deterministic fault injection for testing.  Exit
-codes: 0 clean, 1 with permanently failed cells, 130 when interrupted.
+codes: 0 clean, 1 with permanently failed cells, 2 for a refused flag
+combination, 130 when interrupted.
 """
 
 from __future__ import annotations
@@ -188,7 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
              "attempts)",
     )
     p_exp.add_argument(
-        "--backend", choices=tuple(BACKENDS), default=None,
+        # Studies take no --hosts, so the distributed placement is not
+        # offered here.
+        "--backend", choices=tuple(b for b in BACKENDS if b != "distributed"),
+        default=None,
         help="execution backend for the study's solver runs (default: "
              "each study's preference — vectorized for quality tables, "
              "gpusim where modeled timings are the measurement)",
@@ -202,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-fault", default=None, metavar="OP:AT:KIND[:repeat]",
         help="deterministic fault injection for testing, e.g. "
              "'launch:100:transient' or 'malloc:1:oom:repeat' "
-             "(kinds: transient, timeout, oom, fatal, interrupt)",
+             "(kinds: transient, timeout, oom, fatal, interrupt); "
+             "in-process backends only (gpusim, vectorized)",
     )
     p_exp.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
@@ -489,6 +494,14 @@ def _finish_resilient(runner) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
+    if args.inject_fault and args.backend == "multiprocess":
+        # Shard processes would each count launches on a copy of the plan,
+        # so a transient fault would never clear (ResilientRunner refuses
+        # the pair too; this is the flag-level message).
+        print("--inject-fault applies to the in-process backends (gpusim, "
+              "vectorized); inject faults into --backend multiprocess "
+              "with --inject-pool-fault", file=sys.stderr)
+        return 2
     runner = _build_runner(args)
     print(f"# experiment {args.name} at scale '{scale.name}'\n")
     try:

@@ -8,14 +8,17 @@ along two orthogonal axes:
   (CDD or UCDDCP) owning objectives, schedule reconstruction and device
   staging; :func:`~repro.core.engine.adapters.adapter_for` is the single
   type-dispatch site in the codebase.
-* **Where it runs** -- an
-  :class:`~repro.core.engine.backends.ExecutionBackend`: the cycle-modeled
-  simulated CUDA device (``"gpusim"``), direct vectorized host execution
-  of the same kernel bodies (``"vectorized"``), or the vectorized path
-  sharded across worker processes (``"multiprocess"``,
-  :mod:`repro.pool`) -- bit-identical trajectories all three ways.
+* **Where it runs** -- the ``backend=`` name.  Two are kernel backends
+  (:class:`~repro.core.engine.backends.ExecutionBackend`) that run the
+  whole ensemble in-process: the cycle-modeled simulated CUDA device
+  (``"gpusim"``) and direct vectorized host execution of the same kernel
+  bodies (``"vectorized"``).  Two are shard placements that run slices of
+  the ensemble on the vectorized path elsewhere: local worker processes
+  (``"multiprocess"``) or remote host agents (``"distributed"``), both
+  through :mod:`repro.pool` -- bit-identical trajectories all four ways.
 
-:mod:`~repro.core.engine.driver` hosts the shared generation loop the
+:mod:`~repro.core.engine.driver` hosts the one host program
+(:func:`~repro.core.engine.driver.run_ensemble`) and generation loop the
 parallel drivers plug strategy objects into, and
 :mod:`~repro.core.engine.config` the validation shared by the six solver
 configuration dataclasses.

@@ -19,12 +19,23 @@ Both backends expose CUDA-shaped primitives (``alloc``/``upload``/
 ``download``/``launch``/``synchronize``) plus adapter-driven staging of the
 instance data, so the shared driver in
 :mod:`repro.core.engine.driver` is backend-agnostic.
+
+Every ``backend=`` value is also a *placement* -- where the ensemble's
+shards run.  A kernel backend runs the whole ensemble as one shard in the
+calling process.  :class:`MultiprocessBackend` and
+:class:`DistributedBackend` are settings records, not kernel backends:
+they run the shards on local worker processes or remote host agents, each
+shard on a :class:`VectorizedBackend`.  All three answer the driver's
+placement protocol: ``workers`` (the shard-plan width), ``run_shards`` and
+``result_params``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, ClassVar
+from dataclasses import InitVar
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Union
 
 import numpy as np
 
@@ -41,8 +52,14 @@ from repro.kernels.data import DeviceProblemData
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine.adapters import ProblemAdapter
+    from repro.core.engine.driver import (
+        EnsembleStrategy,
+        ShardPlan,
+        ShardResult,
+    )
     from repro.gpusim.launch import LaunchConfig
     from repro.gpusim.timing import TimingModel
+    from repro.pool.hosts import HostPool
     from repro.resilience.faults import FaultPlan
 
 __all__ = [
@@ -71,6 +88,9 @@ class ExecutionBackend(ABC):
     #: Whether :meth:`timing_fields` reports modeled device/kernels/memcpy
     #: durations (only the cycle-modeled backend does).
     models_device_time: ClassVar[bool]
+    #: Shard-plan width as a placement: a kernel backend runs the whole
+    #: ensemble as one in-process shard.
+    workers: ClassVar[int] = 1
 
     def __init__(self, fault_plan: "FaultPlan | None" = None) -> None:
         #: Optional deterministic fault injection (see
@@ -119,6 +139,24 @@ class ExecutionBackend(ABC):
     def timing_fields(self) -> dict[str, float]:
         """Modeled-timing kwargs for ``SolveResult`` (empty if unmodeled)."""
         return {}
+
+    def run_shards(
+        self,
+        instance: Any,
+        strategy: "EnsembleStrategy",
+        adapter: "ProblemAdapter",
+        plan: "ShardPlan",
+        init_seqs: np.ndarray,
+    ) -> list["ShardResult"]:
+        """Run the plan's one shard in-process on this backend, with the
+        strategy the driver already prepared."""
+        from repro.core.engine.driver import run_chains
+
+        return [run_chains(strategy, self, adapter, init_seqs)]
+
+    def result_params(self, nshards: int) -> dict[str, Any]:
+        """Placement entries of ``SolveResult.params``."""
+        return {"backend": self.name}
 
 
 class GpusimBackend(ExecutionBackend):
@@ -217,8 +255,8 @@ class VectorizedBackend(ExecutionBackend):
     ) -> None:
         super().__init__(fault_plan=fault_plan)
         #: Global thread id of this backend's local thread 0.  Non-zero only
-        #: when the backend runs one shard of a larger ensemble (the
-        #: multiprocess backend's workers); the RNG is then offset so local
+        #: when the backend runs one shard of a larger ensemble (a pooled
+        #: placement's ``run_shard``); the RNG is then offset so local
         #: threads draw exactly the streams of their global counterparts.
         self.thread_offset = thread_offset
 
@@ -270,191 +308,173 @@ class VectorizedBackend(ExecutionBackend):
         return tuple(self._staged[name] for name in self._fitness_names)
 
 
-class MultiprocessBackend(ExecutionBackend):
-    """Shard the chain ensemble across worker processes.
-
-    Unlike the other backends this is a *driver-level* strategy, not a
-    kernel-level one: :func:`repro.core.engine.driver.run_ensemble` detects
-    it and hands the whole solve to
-    :func:`repro.pool.sharding.run_sharded_ensemble`, which splits the
-    ensemble into contiguous block ranges, runs each slice through a
-    :class:`VectorizedBackend` (with an RNG thread offset) in a worker
-    process, and merges the shard results bit-identically to the unsharded
-    run.  The CUDA-shaped primitives are therefore never called on an
-    instance of this class.
-    """
-
-    name = "multiprocess"
-    models_device_time = False
-
-    def __init__(
-        self,
-        fault_plan: "FaultPlan | None" = None,
-        workers: int | None = None,
-        context: str | None = None,
-        task_timeout: float | None = None,
-        task_retries: int = 0,
-        pool_faults: "Any | None" = None,
-    ) -> None:
-        super().__init__(fault_plan=fault_plan)
-        check_workers(workers)
-        check_timeout(task_timeout, "task_timeout")
-        check_retries(task_retries, "task_retries")
-        #: Worker-process count; ``None`` picks ``min(os.cpu_count(),
-        #: grid_size)`` at shard-planning time.
-        self.workers = workers
-        #: multiprocessing start method (``None`` = platform default).
-        self.context = context
-        #: Per-shard wall-clock deadline: a shard exceeding it is killed
-        #: and (given ``task_retries``) deterministically re-run — shard
-        #: replays are bit-identical, so supervision never changes results.
-        self.task_timeout = task_timeout
-        #: In-pool retries of abnormally-died shards (crash/timeout/
-        #: corrupt payload) before the solve fails.
-        self.task_retries = task_retries
-        #: Optional :class:`repro.pool.faults.PoolFaultPlan` injecting
-        #: deterministic transport faults into the shard workers.
-        self.pool_faults = pool_faults
-
-    def _never(self, primitive: str) -> RuntimeError:
-        return RuntimeError(
-            f"MultiprocessBackend.{primitive} should never be called: "
-            "run_ensemble delegates multiprocess solves to "
-            "repro.pool.sharding.run_sharded_ensemble"
+def _refuse_fault_plan(name: str, fault_plan: "FaultPlan | None") -> None:
+    """Device fault plans count launches on one in-process backend; a
+    placement running shards in other processes would count on copies."""
+    if fault_plan is not None:
+        raise ValueError(
+            f"device fault plans (--inject-fault) apply to the in-process "
+            f"backends only; backend={name!r} runs its shards in other "
+            "processes, so inject transport faults with --inject-pool-fault"
         )
 
-    def open(self, adapter, seed, device_spec, timing=None) -> None:
-        raise self._never("open")
 
-    def alloc(self, shape, dtype, label: str = ""):
-        raise self._never("alloc")
+@dataclasses.dataclass(frozen=True)
+class MultiprocessBackend:
+    """Shard placement: run the ensemble's shards on local worker processes.
 
-    def upload(self, buf, host) -> None:
-        raise self._never("upload")
+    A settings record, not a kernel backend: :func:`run_ensemble` plans
+    contiguous block-range shards for :attr:`workers`, and each shard runs
+    the shared generation loop on a :class:`VectorizedBackend` whose RNG
+    is offset by the shard's first global row
+    (:func:`repro.pool.worker.run_shard`), so the merged result is
+    bit-identical to the unsharded run.
+    """
 
-    def download(self, buf):
-        raise self._never("download")
+    name: ClassVar[str] = "multiprocess"
 
-    def launch(self, kern, config, *args) -> None:
-        raise self._never("launch")
+    fault_plan: InitVar["FaultPlan | None"] = None
+    #: Worker-process count; ``None`` picks ``min(os.cpu_count(),
+    #: grid_size)`` at shard-planning time.
+    workers: int | None = None
+    #: multiprocessing start method (``None`` = platform default).
+    context: str | None = None
+    #: Per-shard wall-clock deadline: a shard exceeding it is killed and
+    #: (given ``task_retries``) deterministically re-run.
+    task_timeout: float | None = None
+    #: In-pool retries of abnormally-died shards (crash/timeout/corrupt
+    #: payload) before the solve fails.
+    task_retries: int = 0
+    #: Optional :class:`repro.pool.faults.PoolFaultPlan` injecting
+    #: deterministic transport faults into the shard workers.
+    pool_faults: Any = None
 
-    def synchronize(self) -> None:
-        raise self._never("synchronize")
+    def __post_init__(self, fault_plan: "FaultPlan | None") -> None:
+        _refuse_fault_plan(self.name, fault_plan)
+        check_workers(self.workers)
+        check_timeout(self.task_timeout, "task_timeout")
+        check_retries(self.task_retries, "task_retries")
 
-    def fitness_buffers(self):
-        raise self._never("fitness_buffers")
+    def run_shards(
+        self,
+        instance: Any,
+        strategy: "EnsembleStrategy",
+        adapter: "ProblemAdapter",
+        plan: "ShardPlan",
+        init_seqs: np.ndarray,
+    ) -> list["ShardResult"]:
+        from repro.pool.sharding import run_on_processes
+
+        return run_on_processes(self, instance, strategy, plan, init_seqs)
+
+    def result_params(self, nshards: int) -> dict[str, Any]:
+        return {"backend": self.name, "workers": nshards}
 
 
-class DistributedBackend(ExecutionBackend):
-    """Shard the chain ensemble across remote host agents.
+@dataclasses.dataclass(frozen=True)
+class DistributedBackend:
+    """Shard placement: run the ensemble's shards on remote host agents.
 
-    A driver-level backend like :class:`MultiprocessBackend`:
-    ``run_ensemble`` hands the whole solve to
-    :func:`repro.pool.sharding.run_distributed_ensemble`, which plans
-    shards for the topology's *total* worker count and dispatches them
-    over a :class:`repro.pool.hosts.HostPool`.  Because the shard plan
-    depends only on that total, the merged result is bit-identical to
-    ``backend="multiprocess"`` with the same number of local workers —
-    including runs where a host dies mid-flight and its shards fail over
-    to the survivors (re-runs use the same ``OffsetRNG`` offsets).
+    The shard plan depends only on the topology's *total* worker count,
+    so the merged result is bit-identical to ``backend="multiprocess"``
+    with the same number of local workers, including runs where a host
+    dies mid-flight and its shards fail over to the survivors (re-runs use
+    the same ``OffsetRNG`` offsets).  Every field but ``local_fallback``
+    and ``context`` is a :class:`repro.pool.hosts.HostPool` keyword.
 
     ``task_timeout`` is deliberately absent: task supervision is the
     *agent's* job (``repro agent --task-timeout``); the client only
     bounds network stalls via heartbeats.
     """
 
-    name = "distributed"
-    models_device_time = False
+    name: ClassVar[str] = "distributed"
 
-    def __init__(
-        self,
-        fault_plan: "FaultPlan | None" = None,
-        hosts: "str | tuple[Any, ...] | list[Any] | None" = None,
-        task_retries: int = 0,
-        heartbeat_interval_s: float = 2.0,
-        heartbeat_timeout_s: float = 10.0,
-        connect_timeout_s: float = 5.0,
-        io_timeout_s: float = 30.0,
-        reconnect_attempts: int = 3,
-        backoff_base_s: float = 0.05,
-        backoff_factor: float = 2.0,
-        backoff_max_s: float = 2.0,
-        local_fallback: bool = True,
-        net_faults: "Any | None" = None,
-        context: str | None = None,
-    ) -> None:
-        super().__init__(fault_plan=fault_plan)
+    fault_plan: InitVar["FaultPlan | None"] = None
+    #: ``HOST[:PORT]:WORKERS,...`` or a sequence of ``HostSpec``; stored
+    #: parsed, as a tuple of ``HostSpec``.
+    hosts: Any = None
+    task_retries: int = 0
+    heartbeat_interval_s: float = 2.0
+    heartbeat_timeout_s: float = 10.0
+    connect_timeout_s: float = 5.0
+    io_timeout_s: float = 30.0
+    reconnect_attempts: int = 3
+    backoff_base_s: float = 0.05
+    backoff_factor: float = 2.0
+    backoff_max_s: float = 2.0
+    #: Degrade to the local multiprocess pool when every remote host is
+    #: lost (the bottom rung of the ladder; docs/distributed.md).
+    local_fallback: bool = True
+    #: Optional :class:`repro.pool.faults.NetFaultPlan` injecting
+    #: deterministic network faults at the client's send path.
+    net_faults: Any = None
+    #: multiprocessing start method of the local-fallback pool.
+    context: str | None = None
+
+    def __post_init__(self, fault_plan: "FaultPlan | None") -> None:
         from repro.pool.net import HostSpec, parse_host_specs
 
-        if hosts is None or (isinstance(hosts, (tuple, list)) and not hosts):
+        _refuse_fault_plan(self.name, fault_plan)
+        hosts = self.hosts
+        if not hosts:
             raise ValueError(
-                "DistributedBackend needs a host topology; pass "
+                "backend='distributed' requires a host topology: "
                 "hosts='HOST[:PORT]:WORKERS,...' (e.g. 'host1:4,host2:8')"
             )
         if isinstance(hosts, str):
-            self.hosts: tuple[Any, ...] = parse_host_specs(hosts)
-        else:
-            for spec in hosts:
-                if not isinstance(spec, HostSpec):
-                    raise ValueError(
-                        f"hosts entries must be HostSpec, got {spec!r}"
-                    )
-            self.hosts = tuple(hosts)
-        check_retries(task_retries, "task_retries")
-        self.task_retries = task_retries
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.connect_timeout_s = connect_timeout_s
-        self.io_timeout_s = io_timeout_s
-        self.reconnect_attempts = reconnect_attempts
-        self.backoff_base_s = backoff_base_s
-        self.backoff_factor = backoff_factor
-        self.backoff_max_s = backoff_max_s
-        #: Degrade to the local multiprocess pool when every remote host
-        #: is lost (the bottom rung of the ladder; docs/distributed.md).
-        self.local_fallback = local_fallback
-        #: Optional :class:`repro.pool.faults.NetFaultPlan` injecting
-        #: deterministic network faults at the client's send path.
-        self.net_faults = net_faults
-        #: multiprocessing start method of the local-fallback pool.
-        self.context = context
+            hosts = parse_host_specs(hosts)
+        for spec in hosts:
+            if not isinstance(spec, HostSpec):
+                raise ValueError(
+                    f"hosts entries must be HostSpec, got {spec!r}"
+                )
+        object.__setattr__(self, "hosts", tuple(hosts))
+        self.host_pool()  # runs HostPool's knob checks now, not mid-solve
 
     @property
     def workers(self) -> int:
         """Total task credit across the topology (fixes the shard plan)."""
         return sum(spec.workers for spec in self.hosts)
 
-    def _never(self, primitive: str) -> RuntimeError:
-        return RuntimeError(
-            f"DistributedBackend.{primitive} should never be called: "
-            "run_ensemble delegates distributed solves to "
-            "repro.pool.sharding.run_distributed_ensemble"
-        )
+    def host_pool(self) -> "HostPool":
+        """A fresh :class:`repro.pool.hosts.HostPool` over this topology."""
+        from repro.pool.hosts import HostPool
 
-    def open(self, adapter, seed, device_spec, timing=None) -> None:
-        raise self._never("open")
+        knobs = {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+            if field.name not in ("local_fallback", "context")
+        }
+        return HostPool(**knobs)
 
-    def alloc(self, shape, dtype, label: str = ""):
-        raise self._never("alloc")
+    def run_shards(
+        self,
+        instance: Any,
+        strategy: "EnsembleStrategy",
+        adapter: "ProblemAdapter",
+        plan: "ShardPlan",
+        init_seqs: np.ndarray,
+    ) -> list["ShardResult"]:
+        from repro.pool.sharding import run_on_hosts
 
-    def upload(self, buf, host) -> None:
-        raise self._never("upload")
+        return run_on_hosts(self, instance, strategy, plan, init_seqs)
 
-    def download(self, buf):
-        raise self._never("download")
+    def result_params(self, nshards: int) -> dict[str, Any]:
+        from repro.pool.net import format_host_specs
 
-    def launch(self, kern, config, *args) -> None:
-        raise self._never("launch")
-
-    def synchronize(self) -> None:
-        raise self._never("synchronize")
-
-    def fitness_buffers(self):
-        raise self._never("fitness_buffers")
+        return {
+            "backend": self.name,
+            "workers": nshards,
+            "hosts": format_host_specs(self.hosts),
+        }
 
 
-#: Registered execution backends, keyed by the public ``backend=`` name.
-BACKENDS: dict[str, type[ExecutionBackend]] = {
+#: What ``backend=`` resolves to: a kernel backend (the whole ensemble
+#: runs in-process on it) or a shard-placement settings record.
+Placement = Union[ExecutionBackend, MultiprocessBackend, DistributedBackend]
+
+#: Registered backends, keyed by the public ``backend=`` name.
+BACKENDS: dict[str, Callable[..., Placement]] = {
     GpusimBackend.name: GpusimBackend,
     VectorizedBackend.name: VectorizedBackend,
     MultiprocessBackend.name: MultiprocessBackend,
@@ -465,23 +485,23 @@ DEFAULT_BACKEND = GpusimBackend.name
 
 
 def create_backend(
-    backend: str | ExecutionBackend, fault_plan: "FaultPlan | None" = None
-) -> ExecutionBackend:
+    backend: str | Placement, fault_plan: "FaultPlan | None" = None
+) -> Placement:
     """Resolve a backend name (or pass through a ready instance).
 
     ``fault_plan`` attaches deterministic fault injection to a
-    newly-created backend; a passed-through instance keeps whatever plan
-    it already carries (``fault_plan`` must then be ``None``).
+    newly-created kernel backend (the shard placements refuse one); a
+    passed-through instance keeps whatever plan it already carries
+    (``fault_plan`` must then be ``None``).
     """
-    if isinstance(backend, ExecutionBackend):
+    if not isinstance(backend, str):
         if fault_plan is not None:
             raise ValueError(
                 "cannot attach a fault plan to an existing backend instance"
             )
         return backend
-    try:
-        return BACKENDS[backend](fault_plan=fault_plan)
-    except KeyError:
+    if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {tuple(BACKENDS)}"
-        ) from None
+        )
+    return BACKENDS[backend](fault_plan=fault_plan)

@@ -4,8 +4,9 @@ Downstream users interact with these classes: pick a problem instance,
 pick a method, get a fully reconstructed optimal-completion-time schedule.
 Methods are looked up in a registry (:data:`_BaseSolver._METHODS`), so the
 set of advertised methods cannot drift from the actual dispatch; parallel
-methods additionally accept ``backend="gpusim"|"vectorized"`` to pick the
-execution backend of :mod:`repro.core.engine.backends`.
+methods additionally accept ``backend="gpusim"|"vectorized"|"multiprocess"|
+"distributed"`` (see :mod:`repro.core.engine.backends`) plus the placement
+knobs of the last two (``workers=``, ``hosts=``, ...).
 
 >>> from repro import CDDSolver, biskup_instance
 >>> inst = biskup_instance(n=20, h=0.4, k=1)
@@ -16,6 +17,7 @@ True
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -25,9 +27,9 @@ import numpy as np
 from repro.core.dpso import DPSOConfig, dpso_serial
 from repro.core.engine.adapters import adapter_for
 from repro.core.engine.backends import (
+    BACKENDS,
     DEFAULT_BACKEND,
     DistributedBackend,
-    ExecutionBackend,
     MultiprocessBackend,
 )
 from repro.core.evolution import EvolutionStrategyConfig, evolution_strategy
@@ -68,78 +70,65 @@ class _MethodSpec:
     config_cls: type | None = None
 
 
+#: Façade keywords that configure a shard placement instead of the solve,
+#: by the placement taking them: its record's fields, less the start
+#: method (set it on a record built by hand).
+_PLACEMENT_KNOBS = {
+    cls.name: tuple(
+        field.name for field in dataclasses.fields(cls)
+        if field.name != "context"
+    )
+    for cls in (MultiprocessBackend, DistributedBackend)
+}
+_KNOB_NAMES = frozenset().union(*_PLACEMENT_KNOBS.values())
+
+#: Why ``backend='distributed'`` refuses a local-pool knob.
+_NOT_DISTRIBUTED = {
+    "workers": "workers= is fixed by the host topology for "
+               "backend='distributed'; set per-host counts in hosts=",
+    "task_timeout": "task_timeout is enforced agent-side for "
+                    "backend='distributed'; start agents with "
+                    "`repro agent --task-timeout`",
+    "pool_faults": "pool_faults applies to local worker pools; use "
+                   "net_faults for backend='distributed'",
+}
+
+
+def _placement(
+    backend: Any, knobs: dict[str, Any]
+) -> "MultiprocessBackend | DistributedBackend":
+    """The placement record ``backend`` names, built from façade knobs."""
+    if not isinstance(backend, str):
+        raise ValueError(
+            f"pass {next(iter(knobs))}= via the backend instance, not both"
+        )
+    if backend == "distributed":
+        for knob, reason in _NOT_DISTRIBUTED.items():
+            if knob in knobs:
+                raise ValueError(reason)
+    for knob in knobs:
+        if knob not in _PLACEMENT_KNOBS.get(backend, ()):
+            owner = (
+                "multiprocess" if knob in _PLACEMENT_KNOBS["multiprocess"]
+                else "distributed"
+            )
+            raise ValueError(
+                f"{knob}= requires backend={owner!r} (got backend={backend!r})"
+            )
+    return BACKENDS[backend](**knobs)
+
+
 def _engine_method(config_cls: type, driver: Callable[..., SolveResult]):
     """A parallel method: config + engine driver with backend selection."""
 
     def run(solver: "_BaseSolver", **params: Any) -> SolveResult:
         backend = params.pop("backend", DEFAULT_BACKEND)
-        workers = params.pop("workers", None)
-        hosts = params.pop("hosts", None)
-        supervision = {
-            key: params.pop(key)
-            for key in ("task_timeout", "task_retries", "pool_faults")
-            if key in params
+        knobs = {
+            name: params.pop(name) for name in list(params)
+            if name in _KNOB_NAMES
         }
-        distributed = {
-            key: params.pop(key)
-            for key in (
-                "net_faults", "local_fallback", "heartbeat_interval_s",
-                "heartbeat_timeout_s", "connect_timeout_s", "io_timeout_s",
-                "reconnect_attempts", "backoff_base_s", "backoff_factor",
-                "backoff_max_s",
-            )
-            if key in params
-        }
-        if backend == "distributed":
-            if hosts is None:
-                raise ValueError(
-                    "backend='distributed' requires "
-                    "hosts='HOST[:PORT]:WORKERS,...'"
-                )
-            if workers is not None:
-                raise ValueError(
-                    "workers= is fixed by the host topology for "
-                    "backend='distributed'; set per-host counts in hosts="
-                )
-            if "task_timeout" in supervision:
-                raise ValueError(
-                    "task_timeout is enforced agent-side for "
-                    "backend='distributed'; start agents with "
-                    "`repro agent --task-timeout`"
-                )
-            if "pool_faults" in supervision:
-                raise ValueError(
-                    "pool_faults applies to local worker pools; use "
-                    "net_faults for backend='distributed'"
-                )
-            backend = DistributedBackend(
-                hosts=hosts,
-                task_retries=supervision.get("task_retries", 0),
-                **distributed,
-            )
-        elif hosts is not None or distributed:
-            knob = "hosts=" if hosts is not None else (
-                f"{next(iter(distributed))}="
-            )
-            raise ValueError(
-                f"{knob} requires backend='distributed' "
-                f"(got backend={backend!r})"
-            )
-        elif workers is not None or supervision:
-            knob = "workers=" if workers is not None else (
-                f"{next(iter(supervision))}="
-            )
-            if backend == "multiprocess":
-                backend = MultiprocessBackend(workers=workers, **supervision)
-            elif isinstance(backend, ExecutionBackend):
-                raise ValueError(
-                    f"pass {knob} via the backend instance, not both"
-                )
-            else:
-                raise ValueError(
-                    f"{knob} requires backend='multiprocess' "
-                    f"(got backend={backend!r})"
-                )
+        if knobs:
+            backend = _placement(backend, knobs)
         return driver(solver.instance, config_cls(**params), backend=backend)
 
     return _MethodSpec(run=run, accepts_backend=True, config_cls=config_cls)
@@ -189,7 +178,10 @@ class _BaseSolver:
         ``serial_ta`` (Threshold Accepting), ``serial_es``
         ((mu+lambda) Evolutionary Strategy -- the [18]-style baselines) or
         ``exact`` (exhaustive / partition DP, small instances only).  The
-        parallel methods also take ``backend="gpusim"|"vectorized"``.
+        parallel methods also take ``backend="gpusim"|"vectorized"|
+        "multiprocess"|"distributed"``; the last two take placement knobs
+        (``workers=``/``task_timeout=``/... and ``hosts=``/
+        ``heartbeat_timeout_s=``/...).
         """
         spec = self._METHODS.get(method)
         if spec is None:

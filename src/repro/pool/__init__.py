@@ -2,11 +2,11 @@
 
 One pool primitive, two transports, three consumers:
 
-* :mod:`repro.pool.sharding` -- the ``multiprocess`` and ``distributed``
-  execution backends: shard one chain ensemble across worker processes
-  (or remote host agents), bit-identical to the ``vectorized`` backend
-  (see docs/parallel.md and docs/distributed.md for the determinism
-  contract).
+* :mod:`repro.pool.sharding` -- the shard transport of the
+  ``multiprocess`` and ``distributed`` placements: carry the shards
+  ``run_ensemble`` planned for one chain ensemble to worker processes (or
+  remote host agents), bit-identical to the ``vectorized`` backend (see
+  docs/parallel.md and docs/distributed.md for the determinism contract).
 * :mod:`repro.pool.batch` -- ``solve_many``: fan one solver configuration
   out over many problem instances with bounded in-flight work, ordered
   results and per-instance error isolation.
@@ -56,12 +56,7 @@ from repro.pool.faults import (
 )
 from repro.pool.hosts import HostPool
 from repro.pool.net import HostSpec, parse_host_spec, parse_host_specs
-from repro.pool.sharding import (
-    ShardPlan,
-    plan_shards,
-    run_distributed_ensemble,
-    run_sharded_ensemble,
-)
+from repro.pool.sharding import ShardPlan, plan_shards
 
 __all__ = [
     "BatchError",
@@ -97,6 +92,4 @@ __all__ = [
     "parse_net_fault",
     "ShardPlan",
     "plan_shards",
-    "run_sharded_ensemble",
-    "run_distributed_ensemble",
 ]

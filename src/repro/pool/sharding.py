@@ -1,120 +1,45 @@
-"""Bit-identical ensemble sharding — the ``multiprocess`` backend's engine.
+"""Shard transport for the ``multiprocess`` and ``distributed`` placements.
 
-The chain ensemble of :func:`repro.core.engine.driver.run_ensemble` is
-embarrassingly parallel whenever no kernel reads another chain's state:
-chain ``t``'s trajectory depends only on its initial sequence and its RNG
-stream, and the stream depends only on ``(seed, t, draw_round)`` — never on
-how many chains run alongside it (see :class:`repro.gpusim.rng.DeviceRNG`).
-Sharding therefore splits the grid into contiguous block ranges, runs each
-range in a worker process on a :class:`VectorizedBackend` whose RNG is
-offset by the shard's first global row, and merges.
-
-**Determinism contract** (asserted in ``tests/test_pool.py``, explained in
-docs/parallel.md): for a fixed seed the merged best energy, best sequence
-and history are bit-identical to the unsharded ``vectorized``/``gpusim``
-run, for any worker count.  The merge reproduces the elitist reduction's
-tie-breaks exactly: the reduction only overwrites on a *strict* energy
-improvement and breaks within-round ties by lowest thread index, so the
-global winner is the shard whose best energy is lowest, reached in the
-earliest round, from the lowest shard index (shards are ascending block
-ranges, so the lowest tied shard contains the lowest tied global thread).
-
-Strategies whose kernels *do* couple chains opt out via
-``EnsembleStrategy.shardable`` (the sync-SA broadcast and the ring/coupled
-DPSO couplings read across chains); they fall back to one shard — the
-whole ensemble in a single worker process, still trajectory-identical,
-just without intra-solve parallelism.
+:func:`repro.core.engine.driver.run_ensemble` plans the shards, draws the
+initial population and merges; this module only carries the planned shards
+to where they run and back.  Each shard becomes one spawn-safe
+:func:`repro.pool.worker.run_shard` task -- instance, strategy class,
+config, row offset, block count and its rows of the initial population --
+so the same task list runs on a local :class:`ProcessPool` or on remote
+host agents through :class:`repro.pool.hosts.HostPool`.  Shard results do
+not depend on where they ran, which is what keeps every placement
+bit-identical (docs/parallel.md, docs/distributed.md).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import time
 import warnings
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.engine.adapters import adapter_for
-from repro.core.engine.backends import DistributedBackend, MultiprocessBackend
-from repro.initialization import initial_population
+from repro.core.engine.driver import ShardPlan, ShardResult, plan_shards
 from repro.pool.errors import AllHostsLostError
 from repro.pool.executor import ProcessPool, default_workers
-from repro.pool.net import format_host_specs
-from repro.pool.worker import ShardResult, run_shard
-from repro.problems.validation import validate_schedule
+from repro.pool.worker import run_shard
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.engine.adapters import ProblemAdapter
+    from repro.core.engine.backends import (
+        DistributedBackend,
+        MultiprocessBackend,
+    )
     from repro.core.engine.driver import EnsembleStrategy
-    from repro.core.results import SolveResult
     from repro.problems.cdd import CDDInstance
     from repro.problems.ucddcp import UCDDCPInstance
 
-__all__ = [
-    "ShardPlan",
-    "plan_shards",
-    "run_sharded_ensemble",
-    "run_distributed_ensemble",
-]
+__all__ = ["ShardPlan", "plan_shards", "run_on_processes", "run_on_hosts"]
 
 
-@dataclasses.dataclass(frozen=True)
-class ShardPlan:
-    """Contiguous block ranges: shard ``i`` runs ``blocks[i]`` blocks
-    starting at global row ``row_offsets[i]``."""
-
-    row_offsets: tuple[int, ...]
-    blocks: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def plan_shards(
-    grid_size: int,
-    block_size: int,
-    workers: int | None,
-    shardable: bool = True,
-    algorithm: str = "",
-) -> ShardPlan:
-    """Split ``grid_size`` blocks into at most ``workers`` contiguous shards.
-
-    Sharding granularity is whole blocks (a block is the natural CUDA unit
-    and keeps shard populations multiples of ``block_size``).  An
-    unshardable strategy degrades to one shard with a ``RuntimeWarning``
-    when the caller explicitly asked for more.
-    """
-    if not shardable:
-        if workers is not None and workers > 1:
-            warnings.warn(
-                f"{algorithm or 'this strategy'} couples chains across the "
-                "ensemble and cannot be sharded; running the whole ensemble "
-                "in one worker process",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        nshards = 1
-    else:
-        nshards = min(
-            workers if workers is not None else default_workers(cap=grid_size),
-            grid_size,
-        )
-    base, extra = divmod(grid_size, nshards)
-    blocks = tuple(base + (1 if i < extra else 0) for i in range(nshards))
-    offsets, acc = [], 0
-    for b in blocks:
-        offsets.append(acc * block_size)
-        acc += b
-    return ShardPlan(row_offsets=tuple(offsets), blocks=blocks)
-
-
-def _build_shard_tasks(
+def _shard_tasks(
     instance: "CDDInstance | UCDDCPInstance",
     strategy: "EnsembleStrategy",
     plan: ShardPlan,
     init_seqs: np.ndarray,
-    fault_plan: Any,
 ) -> tuple[list[tuple[Callable[..., Any], tuple]], list[str]]:
     """Spawn-safe shard tasks (and their labels) for any pool transport."""
     config = strategy.config
@@ -122,11 +47,7 @@ def _build_shard_tasks(
     for lo, nblocks in zip(plan.row_offsets, plan.blocks):
         rows = init_seqs[lo : lo + nblocks * config.block_size]
         tasks.append(
-            (
-                run_shard,
-                (instance, type(strategy), config, lo, nblocks, rows,
-                 fault_plan),
-            )
+            (run_shard, (instance, type(strategy), config, lo, nblocks, rows))
         )
     labels = [f"{instance.name}:shard{i}" for i in range(len(tasks))]
     return tasks, labels
@@ -150,171 +71,49 @@ def _collect_shards(
         shards[indices[index] if indices is not None else index] = value
 
 
-def _merge_shards(
+def run_on_processes(
+    placement: "MultiprocessBackend",
     instance: "CDDInstance | UCDDCPInstance",
     strategy: "EnsembleStrategy",
-    adapter: "ProblemAdapter",
-    results: Sequence[ShardResult],
-    start_wall: float,
-    params: dict[str, Any],
-) -> "SolveResult":
-    """Merge shard results bit-identically to the elitist reduction.
-
-    Reproduces the reduction's tie-breaks (strict improvement, earliest
-    round, lowest global thread index): the winner is the shard with the
-    lowest best energy, reached in the earliest round, from the lowest
-    shard index — shards are ascending block ranges, so the lowest tied
-    shard contains the lowest tied global thread.  Identical regardless
-    of which transport (local pool or remote hosts) ran the shards.
-    """
-    from repro.core.engine.driver import assemble_result
-
-    config = strategy.config
-
-    def first_round(shard: ShardResult) -> int:
-        return int(np.nonzero(shard.ext_history == shard.best_energy)[0][0])
-
-    winner = min(
-        range(len(results)),
-        key=lambda i: (results[i].best_energy, first_round(results[i]), i),
-    )
-    merged_ext = results[0].ext_history.copy()
-    for shard in results[1:]:
-        np.minimum(merged_ext, shard.ext_history, out=merged_ext)
-    history = merged_ext[1:] if config.record_history else None
-
-    final_seq, extra_evals = strategy.finalize(results[winner].best_seq)
-    wall = time.perf_counter() - start_wall
-
-    params = dict(params)
-    params["device_spec"] = config.resolve_device_spec().name
-    params["device_profile"] = (
-        None if config.device_spec is not None else config.device_profile
-    )
-    result = assemble_result(
-        adapter,
-        final_seq,
-        evaluations=(config.iterations + 1) * config.population + extra_evals,
-        wall_time_s=wall,
-        history=history,
-        params=params,
-    )
-    # Defense in depth: shard payloads already passed the transport digest;
-    # re-validate the merged solution with the independent checker so a
-    # corrupted-but-well-formed payload cannot become a silently wrong
-    # answer (a violation raises ScheduleError here, at the merge).
-    validate_schedule(instance, result.schedule)
-    return result
-
-
-def _prepare_ensemble(
-    instance: "CDDInstance | UCDDCPInstance",
-    strategy: "EnsembleStrategy",
-    workers: int | None,
-) -> tuple["ProblemAdapter", ShardPlan, np.ndarray, float]:
-    """Host-global setup shared by the pooled runners: the host RNG
-    (``prepare`` + full initial population with the global-row-indexed
-    ``prepare_population`` hook) and the shard plan for ``workers``."""
-    config = strategy.config
-    adapter = adapter_for(instance)
-    host_rng = np.random.default_rng(config.seed)
-    strategy.prepare(adapter, host_rng)
-
-    start_wall = time.perf_counter()
-    plan = plan_shards(
-        config.grid_size,
-        config.block_size,
-        workers,
-        shardable=strategy.shardable,
-        algorithm=strategy.algorithm,
-    )
-    init_seqs = initial_population(
-        instance, config.population, host_rng, config.init
-    ).astype(np.int32)
-    init_seqs = strategy.prepare_population(init_seqs)
-    return adapter, plan, init_seqs, start_wall
-
-
-def run_sharded_ensemble(
-    instance: "CDDInstance | UCDDCPInstance",
-    strategy: "EnsembleStrategy",
-    backend: MultiprocessBackend,
-) -> "SolveResult":
-    """Run one ensemble solve sharded across local worker processes.
-
-    The parent owns everything that is host-global in the unsharded run:
-    the host RNG, the shard merge, and ``finalize`` on the merged best.
-    Workers own the generation loop for their slice
-    (:func:`repro.pool.worker.run_shard`).
-    """
-    adapter, plan, init_seqs, start_wall = _prepare_ensemble(
-        instance, strategy, backend.workers
-    )
-    tasks, labels = _build_shard_tasks(
-        instance, strategy, plan, init_seqs, backend.fault_plan
-    )
+    plan: ShardPlan,
+    init_seqs: np.ndarray,
+) -> list[ShardResult]:
+    """Run the planned shards on local worker processes, one per shard."""
+    tasks, labels = _shard_tasks(instance, strategy, plan, init_seqs)
     shards: list[ShardResult | None] = [None] * len(tasks)
     pool = ProcessPool(
         workers=len(tasks),
-        context=backend.context,
-        task_timeout=backend.task_timeout,
-        task_retries=backend.task_retries,
-        fault_plan=backend.pool_faults,
+        context=placement.context,
+        task_timeout=placement.task_timeout,
+        task_retries=placement.task_retries,
+        fault_plan=placement.pool_faults,
     )
     _collect_shards(shards, pool.imap_unordered(tasks, labels=labels))
-    results = [s for s in shards if s is not None]
-    assert len(results) == len(tasks)
-
-    params = strategy.params()
-    params["backend"] = backend.name
-    params["workers"] = len(results)
-    return _merge_shards(
-        instance, strategy, adapter, results, start_wall, params
-    )
+    return shards  # type: ignore[return-value]
 
 
-def run_distributed_ensemble(
+def run_on_hosts(
+    placement: "DistributedBackend",
     instance: "CDDInstance | UCDDCPInstance",
     strategy: "EnsembleStrategy",
-    backend: DistributedBackend,
-) -> "SolveResult":
-    """Run one ensemble solve sharded across remote host agents.
+    plan: ShardPlan,
+    init_seqs: np.ndarray,
+) -> list[ShardResult]:
+    """Run the planned shards on remote host agents.
 
-    The shard plan is fixed by the topology's *total* worker count, and
-    shard results do not depend on where they ran, so the merged result
-    is bit-identical to ``backend="multiprocess"`` with the same total —
-    through reconnects, host failover, and (when ``local_fallback`` is
-    on) complete loss of every remote, where the unfinished shards are
-    deterministically re-run on a local :class:`ProcessPool`.
+    Reconnects and host failover happen inside the :class:`HostPool`.
+    When every remote is lost and ``local_fallback`` is on, the unfinished
+    shards are deterministically re-run on a local :class:`ProcessPool`.
     """
-    from repro.pool.hosts import HostPool
-
-    adapter, plan, init_seqs, start_wall = _prepare_ensemble(
-        instance, strategy, backend.workers
-    )
-    tasks, labels = _build_shard_tasks(
-        instance, strategy, plan, init_seqs, backend.fault_plan
-    )
+    tasks, labels = _shard_tasks(instance, strategy, plan, init_seqs)
     shards: list[ShardResult | None] = [None] * len(tasks)
-    host_pool = HostPool(
-        backend.hosts,
-        task_retries=backend.task_retries,
-        heartbeat_interval_s=backend.heartbeat_interval_s,
-        heartbeat_timeout_s=backend.heartbeat_timeout_s,
-        connect_timeout_s=backend.connect_timeout_s,
-        io_timeout_s=backend.io_timeout_s,
-        reconnect_attempts=backend.reconnect_attempts,
-        backoff_base_s=backend.backoff_base_s,
-        backoff_factor=backend.backoff_factor,
-        backoff_max_s=backend.backoff_max_s,
-        net_faults=backend.net_faults,
-    )
     try:
         _collect_shards(
-            shards, host_pool.imap_unordered(tasks, labels=labels)
+            shards,
+            placement.host_pool().imap_unordered(tasks, labels=labels),
         )
     except AllHostsLostError as exc:
-        if not backend.local_fallback:
+        if not placement.local_fallback:
             raise
         remaining = [i for i, s in enumerate(shards) if s is None]
         warnings.warn(
@@ -326,7 +125,7 @@ def run_distributed_ensemble(
         )
         fallback = ProcessPool(
             workers=min(len(remaining), default_workers()),
-            context=backend.context,
+            context=placement.context,
         )
         _collect_shards(
             shards,
@@ -336,13 +135,4 @@ def run_distributed_ensemble(
             ),
             indices=remaining,
         )
-    results = [s for s in shards if s is not None]
-    assert len(results) == len(tasks)
-
-    params = strategy.params()
-    params["backend"] = backend.name
-    params["workers"] = len(results)
-    params["hosts"] = format_host_specs(backend.hosts)
-    return _merge_shards(
-        instance, strategy, adapter, results, start_wall, params
-    )
+    return shards  # type: ignore[return-value]

@@ -188,6 +188,8 @@ class ResilientRunner:
     fault_plan:
         Optional :class:`FaultPlan` threaded into every backend/device the
         studies create through this runner (test/CI fault injection).
+        In-process backends only: combined with ``backend="multiprocess"``
+        or ``"distributed"`` it is refused with a ``ValueError``.
     backend:
         Execution backend name the studies should solve on; ``None`` (the
         default) lets each study pick its own preference (see
@@ -230,6 +232,13 @@ class ResilientRunner:
         self.resume = resume
         self.fault_plan = fault_plan
         self.backend = backend
+        if fault_plan is not None and backend is not None:
+            from repro.core.engine.backends import create_backend
+
+            # Refuse now, before any unit runs, a backend that cannot
+            # carry the plan (the shard placements count faults per
+            # process, so a transient fault would never clear).
+            create_backend(backend, fault_plan=fault_plan)
         check_workers(workers)
         check_timeout(task_timeout_s, "task_timeout_s")
         self.workers = workers

@@ -35,6 +35,7 @@ from repro.core.solver import (
     solver_methods,
 )
 from repro.gpusim.profiles import DEFAULT_PROFILE
+from repro.pool.net import parse_host_specs
 from repro.problems.cdd import CDDInstance
 from repro.problems.ucddcp import UCDDCPInstance
 
@@ -89,7 +90,8 @@ class AdmissionPolicy:
     429 with ``Retry-After: retry_after_s``.  ``default_backend`` is the
     engine backend used when a request names none; ``hosts`` is the
     distributed topology (``None`` = ``backend="distributed"`` requests
-    are refused).
+    are refused, and it cannot be the default).  Both are checked here, so
+    a bad topology stops ``repro serve`` at startup.
     """
 
     queue_cap: int = 16
@@ -117,6 +119,13 @@ class AdmissionPolicy:
             raise ValueError(
                 f"unknown default_backend {self.default_backend!r}; "
                 f"choose from {tuple(BACKENDS)}"
+            )
+        if self.hosts is not None:
+            parse_host_specs(self.hosts)
+        elif self.default_backend == "distributed":
+            raise ValueError(
+                "default_backend 'distributed' requires a host topology "
+                "(--hosts)"
             )
 
 

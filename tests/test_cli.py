@@ -146,6 +146,14 @@ class TestResilientCli:
             main(["experiment", "cooling", "--scale", "smoke",
                   "--checkpoint-dir", str(tmp_path), "--unit-timeout", "0"])
 
+    def test_experiment_refuses_distributed_backend(self, capsys):
+        # Studies take no --hosts: refused at parse time, before any unit.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "table2", "--scale", "smoke",
+                  "--backend", "distributed", "--checkpoint-dir", "none"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'distributed'" in capsys.readouterr().err
+
     def test_experiment_writes_checkpoint(self, capsys, tmp_path):
         rc = main(["experiment", "cooling", "--scale", "smoke",
                    "--checkpoint-dir", str(tmp_path)])

@@ -218,11 +218,6 @@ class TestBackendConstruction:
         backend = DistributedBackend(hosts=[HostSpec("a", 7000, 2)])
         assert backend.workers == 2
 
-    def test_backend_primitives_never_run_locally(self):
-        backend = DistributedBackend(hosts="a:1")
-        with pytest.raises(RuntimeError, match="run_distributed_ensemble"):
-            backend.open(None, seed=0, device_spec=None)
-
 
 class TestFacadeValidation:
     def setup_method(self):

@@ -176,8 +176,33 @@ class TestWorkersKnob:
     def test_create_backend_by_name(self):
         backend = create_backend("multiprocess")
         assert isinstance(backend, MultiprocessBackend)
-        with pytest.raises(RuntimeError, match="never be called"):
-            backend.synchronize()
+
+
+class TestDeviceFaultPlanRefused:
+    """A device FaultPlan counts launches in one process; shard processes
+    would each count on a copy, so a transient fault could never clear."""
+
+    @pytest.mark.parametrize("backend", ["multiprocess", "distributed"])
+    def test_create_backend_refuses_plan(self, backend):
+        plan = FaultPlan([parse_fault("launch:3:transient")])
+        with pytest.raises(ValueError, match="--inject-pool-fault"):
+            create_backend(backend, fault_plan=plan)
+
+    def test_runner_refuses_plan_before_any_unit(self):
+        plan = FaultPlan([parse_fault("launch:3:transient")])
+        with pytest.raises(ValueError, match="--inject-pool-fault"):
+            ResilientRunner(fault_plan=plan, backend="multiprocess")
+
+    def test_cli_exits_2(self, capsys):
+        from repro.cli import main
+
+        rc = main(["experiment", "table2", "--scale", "smoke",
+                   "--backend", "multiprocess", "--checkpoint-dir", "none",
+                   "--inject-fault", "launch:3:transient"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--inject-pool-fault" in captured.err
+        assert "Average" not in captured.out  # no unit ran
 
 
 class TestShardPlan:

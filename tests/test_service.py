@@ -132,6 +132,24 @@ class TestValidation:
         validated = validate_request(request, allowed)
         assert validated.solve_kwargs["hosts"] == "localhost:7471:2"
 
+    def test_policy_refuses_distributed_default_without_hosts(self):
+        with pytest.raises(ValueError, match="host topology"):
+            AdmissionPolicy(default_backend="distributed")
+        policy = AdmissionPolicy(default_backend="distributed", hosts="a:1")
+        assert policy.default_backend == "distributed"
+
+    def test_policy_refuses_unparseable_hosts(self):
+        with pytest.raises(ValueError, match="bad host spec"):
+            AdmissionPolicy(hosts="not a topology")
+
+    def test_serve_exits_2_on_bad_topology(self, capsys):
+        from repro.cli import main
+
+        rc = main(["serve", "--bind", "127.0.0.1:0", "--cache-dir", "none",
+                   "--hosts", "not a topology"])
+        assert rc == 2
+        assert "bad host spec" in capsys.readouterr().err
+
     def test_exact_takes_no_config(self, instance):
         with pytest.raises(ValidationError, match="takes no config"):
             validate_request(
