@@ -8,8 +8,9 @@ the literature.
 
 Durability: saves go through an atomic temp-file + rename, so a crash
 mid-save never leaves a half-written database.  A corrupted store file
-(truncated write from an older version, stray editor damage) is moved
-aside to ``<name>.corrupt`` and the store starts empty instead of raising
+(truncated write from an older version, stray editor damage, a field of
+the wrong type) is moved aside to ``<name>.corrupt`` (``.corrupt1``, ...
+when that exists) and the store starts empty instead of raising
 -- best-knowns are recomputable, the experiment run is the thing worth
 protecting.
 """
@@ -17,13 +18,14 @@ protecting.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.resilience.atomic import atomic_write_text
+from repro.resilience.atomic import atomic_write_text, move_aside
 
 __all__ = ["BestKnownEntry", "BestKnownStore", "default_store_path"]
 
@@ -36,6 +38,21 @@ class BestKnownEntry:
     method: str
     optimal: bool = False
     meta: dict[str, Any] | None = None
+
+
+def _checked(entry: BestKnownEntry) -> BestKnownEntry:
+    """``entry`` if every field has its declared type, else ValueError."""
+    objective = entry.objective
+    if (
+        isinstance(objective, bool)
+        or not isinstance(objective, (int, float))
+        or not math.isfinite(objective)
+        or not isinstance(entry.method, str)
+        or not isinstance(entry.optimal, bool)
+        or not isinstance(entry.meta, (dict, type(None)))
+    ):
+        raise ValueError(f"entry has a field of the wrong type: {entry}")
+    return entry
 
 
 def default_store_path() -> Path:
@@ -70,10 +87,13 @@ class BestKnownStore:
             if not isinstance(raw, dict):
                 raise ValueError("store root must be a JSON object")
             self._entries = {
-                name: BestKnownEntry(**rec) for name, rec in raw.items()
+                name: _checked(BestKnownEntry(**rec))
+                for name, rec in raw.items()
             }
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            backup = self._quarantine()
+        except (TypeError, ValueError) as exc:
+            backup = move_aside(
+                self.path, self.path.with_name(self.path.name + ".corrupt")
+            )
             warnings.warn(
                 f"best-known store {self.path} is corrupted ({exc}); "
                 f"moved it to {backup} and starting empty",
@@ -81,16 +101,6 @@ class BestKnownStore:
                 stacklevel=2,
             )
             self._entries = {}
-
-    def _quarantine(self) -> Path:
-        """Move the unreadable store file aside; returns the backup path."""
-        backup = self.path.with_suffix(self.path.suffix + ".corrupt")
-        i = 1
-        while backup.exists():
-            backup = self.path.with_suffix(f"{self.path.suffix}.corrupt{i}")
-            i += 1
-        os.replace(self.path, backup)
-        return backup
 
     def save(self) -> None:
         """Persist the store atomically (creating parent directories)."""

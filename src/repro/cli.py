@@ -34,8 +34,13 @@ from repro.gpusim.profiles import DEFAULT_PROFILE, profile_names
 from repro.instances.biskup import biskup_instance
 from repro.instances.registry import registry_names
 from repro.instances.ucddcp_gen import ucddcp_instance
+from repro.pool.faults import fault_plan_arg, net_fault_arg, pool_fault_arg
+from repro.resilience import FaultPlan, parse_fault
 
 __all__ = ["main", "build_parser"]
+
+#: argparse ``type=`` for ``--inject-fault``.
+device_fault_arg = fault_plan_arg(parse_fault, FaultPlan)
 
 
 def _add_device_profile_arg(parser: argparse.ArgumentParser) -> None:
@@ -97,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
              "fails (--backend multiprocess)",
     )
     p_solve.add_argument(
-        "--inject-pool-fault", default=None, metavar="KIND:TASK[:repeat]",
+        "--inject-pool-fault", type=pool_fault_arg, default=None,
+        metavar="KIND:TASK[:repeat]",
         help="deterministic pool-transport fault injection for testing, "
              "e.g. 'kill:1' or 'hang:0' or 'corrupt-payload:0:repeat' "
              "(--backend multiprocess)",
@@ -120,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
              "shards fail over (--backend distributed; default 10s)",
     )
     p_solve.add_argument(
-        "--inject-net-fault", default=None, metavar="KIND:TASK[:repeat]",
+        "--inject-net-fault", type=net_fault_arg, default=None,
+        metavar="KIND:TASK[:repeat]",
         help="deterministic network fault injection for testing, e.g. "
              "'disconnect:1' or 'blackhole:0' or 'corrupt-frame:0:repeat' "
              "(kinds: disconnect, delay, partial-frame, corrupt-frame, "
@@ -203,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: serial)",
     )
     p_exp.add_argument(
-        "--inject-fault", default=None, metavar="OP:AT:KIND[:repeat]",
+        "--inject-fault", type=device_fault_arg, default=None,
+        metavar="OP:AT:KIND[:repeat]",
         help="deterministic fault injection for testing, e.g. "
              "'launch:100:transient' or 'malloc:1:oom:repeat' "
              "(kinds: transient, timeout, oom, fatal, interrupt); "
@@ -216,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
              "siblings",
     )
     p_exp.add_argument(
-        "--inject-pool-fault", default=None, metavar="KIND:TASK[:repeat]",
+        "--inject-pool-fault", type=pool_fault_arg, default=None,
+        metavar="KIND:TASK[:repeat]",
         help="with --workers: deterministic pool-transport fault "
              "injection, e.g. 'kill:1' (retried) or 'kill:1:repeat' "
              "(quarantined); kinds: kill, hang, corrupt-payload",
@@ -265,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(hung worker killed and retried)",
     )
     p_best.add_argument(
-        "--inject-pool-fault", default=None, metavar="KIND:TASK[:repeat]",
+        "--inject-pool-fault", type=pool_fault_arg, default=None,
+        metavar="KIND:TASK[:repeat]",
         help="with --workers: deterministic pool-transport fault "
              "injection (kinds: kill, hang, corrupt-payload)",
     )
@@ -351,13 +361,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                         print(f"{flag} requires --backend multiprocess",
                               file=sys.stderr)
                         return 2
-                    if key == "pool_faults":
-                        from repro.pool.faults import (
-                            PoolFaultPlan,
-                            parse_pool_fault,
-                        )
-
-                        value = PoolFaultPlan([parse_pool_fault(value)])
                     kwargs[key] = value
     result = solver.solve(args.method, **kwargs)
     print(f"instance: {inst.name}")
@@ -398,11 +401,7 @@ def _apply_distributed_flags(
     if args.heartbeat_timeout is not None:
         kwargs["heartbeat_timeout_s"] = args.heartbeat_timeout
     if args.inject_net_fault is not None:
-        from repro.pool.faults import NetFaultPlan, parse_net_fault
-
-        kwargs["net_faults"] = NetFaultPlan(
-            [parse_net_fault(args.inject_net_fault)]
-        )
+        kwargs["net_faults"] = args.inject_net_fault
     return None
 
 
@@ -443,20 +442,8 @@ _RESUME_HINT = "interrupted — checkpoint flushed; rerun with --resume to conti
 
 def _build_runner(args: argparse.Namespace):
     """A ResilientRunner from the shared resilience CLI flags."""
-    from repro.pool.faults import PoolFaultPlan, parse_pool_fault
-    from repro.resilience import (
-        FaultPlan,
-        ResilientRunner,
-        RetryPolicy,
-        parse_fault,
-    )
+    from repro.resilience import ResilientRunner, RetryPolicy
 
-    plan = None
-    if getattr(args, "inject_fault", None):
-        plan = FaultPlan([parse_fault(args.inject_fault)])
-    pool_plan = None
-    if getattr(args, "inject_pool_fault", None):
-        pool_plan = PoolFaultPlan([parse_pool_fault(args.inject_pool_fault)])
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     if checkpoint_dir in (None, "none"):
         checkpoint_dir = None
@@ -467,11 +454,11 @@ def _build_runner(args: argparse.Namespace):
         ),
         checkpoint_dir=checkpoint_dir,
         resume=args.resume,
-        fault_plan=plan,
+        fault_plan=getattr(args, "inject_fault", None),
         backend=getattr(args, "backend", None),
         workers=getattr(args, "workers", None),
         task_timeout_s=getattr(args, "task_timeout", None),
-        pool_faults=pool_plan,
+        pool_faults=args.inject_pool_fault,
         progress=lambda msg: print(f"  [{msg}]", file=sys.stderr),
     )
 

@@ -1,85 +1,147 @@
-"""Deterministic fault injection for the pool transport.
+"""Deterministic fault injection for the pool and network transports.
 
 The gpusim device layer proves its fault tolerance against a
-:class:`repro.resilience.faults.FaultPlan`; this module extends the same
-idea to the process-pool transport, where the failure modes are process
-deaths rather than driver errors.  A :class:`PoolFaultPlan` arms a
-directive for an exact ``(task index, attempt)`` point in the child
-lifecycle:
+:class:`repro.resilience.faults.FaultPlan`; this module does the same for
+the transports, where the failures are process deaths and network faults
+rather than driver errors.  A task-fault plan arms a directive for an
+exact ``(task index, attempt)`` point, and the two layers differ only in
+their kind table:
 
-* ``kill`` — the child exits abruptly before reporting (models segfault,
-  ``kill -9``, the OOM killer); the parent observes ``EOFError`` and
-  surfaces :class:`~repro.pool.errors.WorkerCrashError`.
-* ``hang`` — the child stalls forever before running its task; only the
-  pool's ``task_timeout`` watchdog can reap it
-  (:class:`~repro.pool.errors.WorkerTimeoutError`).
-* ``corrupt-payload`` — the child runs the task, computes the result's
-  content digest, then flips a byte of the pickled blob before sending;
-  the parent's digest check surfaces
-  :class:`~repro.pool.errors.PayloadIntegrityError`.
+* :class:`PoolFaultPlan` (``--inject-pool-fault``), asked at every child
+  spawn: ``kill``, ``hang``, ``corrupt-payload`` (docs/parallel.md);
+* :class:`NetFaultPlan` (``--inject-net-fault``), asked each time the
+  :class:`~repro.pool.hosts.HostPool` puts a task on the wire:
+  ``disconnect``, ``delay``, ``partial-frame``, ``corrupt-frame``,
+  ``blackhole`` (docs/distributed.md).  Injected client-side, so one
+  plan drills any topology against stock agents.
 
 By default a spec fires on the task's *first* attempt only, so the retry
 succeeds — the transient-fault shape supervision must absorb.
 ``:repeat`` makes it fire on every attempt, which is what drives a task
-into poison quarantine.  Directives travel to the child as plain strings,
-so injection works identically under ``fork`` and ``spawn``.
+into poison quarantine.  Directives are plain strings, so injection
+works identically under ``fork`` and ``spawn``.
 """
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
+from typing import Any, Callable, ClassVar
 
 from repro.core.engine.config import check_choice
 
 __all__ = [
-    "POOL_FAULT_KINDS",
-    "PoolFaultSpec",
-    "PoolFaultPlan",
-    "parse_pool_fault",
-    "NET_FAULT_KINDS",
-    "NetFaultSpec",
-    "NetFaultPlan",
-    "parse_net_fault",
+    "POOL_FAULT_KINDS", "PoolFaultSpec", "PoolFaultPlan", "parse_pool_fault",
+    "NET_FAULT_KINDS", "NetFaultSpec", "NetFaultPlan", "parse_net_fault",
+    "split_fault_spec", "fault_plan_arg", "pool_fault_arg", "net_fault_arg",
 ]
 
 POOL_FAULT_KINDS = ("kill", "hang", "corrupt-payload")
+NET_FAULT_KINDS = (
+    "disconnect", "delay", "partial-frame", "corrupt-frame", "blackhole"
+)
+
+
+def split_fault_spec(
+    text: str, grammar: str, integer: tuple[int, str], error: str, hint: str
+) -> tuple[list[Any], bool]:
+    """Split ``text`` against ``grammar`` (e.g. ``OP:AT:KIND``) + ``[:repeat]``.
+
+    Returns the fields, with the one ``integer = (position, name)`` field
+    converted, and whether ``:repeat`` was given.  A wrong arity or suffix
+    or a non-integer raises ``ValueError`` starting with ``error``.
+    """
+    parts: list[Any] = text.split(":")
+    arity = grammar.count(":") + 1
+    repeat = len(parts) == arity + 1
+    if len(parts) != arity and not (repeat and parts[-1] == "repeat"):
+        raise ValueError(
+            f"{error} {text!r}; expected {grammar}[:repeat], {hint}"
+        )
+    position, name = integer
+    try:
+        parts[position] = int(parts[position])
+    except ValueError:
+        raise ValueError(
+            f"{error} {text!r}: {name} {parts[position]!r} is not an integer"
+        ) from None
+    return parts[:arity], repeat
 
 
 @dataclass(frozen=True)
-class PoolFaultSpec:
-    """Inject ``kind`` into the child running task ``task_index``.
+class _TaskFaultSpec:
+    """Inject ``kind`` into task ``task_index`` of this layer.
 
     ``repeat=False`` (the default) fires on attempt 1 only — the retry
     runs clean.  ``repeat=True`` fires on every attempt, modeling a task
-    that deterministically kills its worker.
+    that deterministically fails.
     """
+
+    #: The layer's name in messages, its injectable kinds and an
+    #: example spec for the parse error.
+    layer: ClassVar[str]
+    kinds: ClassVar[tuple[str, ...]]
+    example: ClassVar[str]
 
     kind: str
     task_index: int
     repeat: bool = False
 
     def __post_init__(self) -> None:
-        check_choice("pool fault kind", self.kind, POOL_FAULT_KINDS)
+        check_choice(f"{self.layer} fault kind", self.kind, self.kinds)
         if self.task_index < 0:
             raise ValueError(
-                f"pool fault task index must be >= 0, got {self.task_index}"
+                f"{self.layer} fault task index must be >= 0, "
+                f"got {self.task_index}"
             )
 
+    @classmethod
+    def parse(cls, text: str):
+        """Parse ``KIND:TASK_INDEX[:repeat]`` into a spec of this layer."""
+        (kind, task_index), repeat = split_fault_spec(
+            text, "KIND:TASK_INDEX", (1, "task index"),
+            f"bad {cls.layer} fault spec",
+            f"e.g. {cls.example} (kinds: {cls.kinds})",
+        )
+        return cls(kind=kind, task_index=task_index, repeat=repeat)
 
-class PoolFaultPlan:
-    """A reproducible schedule of pool-transport faults.
 
-    The parent asks :meth:`directive` at every child spawn; a matching
-    spec returns its kind string (shipped to the child) and is logged in
-    :attr:`fired` as ``(kind, task_index, attempt)`` for replay
-    assertions.
+class PoolFaultSpec(_TaskFaultSpec):
+    layer = "pool"
+    kinds = POOL_FAULT_KINDS
+    example = "kill:1"
+
+
+class NetFaultSpec(_TaskFaultSpec):
+    layer = "net"
+    kinds = NET_FAULT_KINDS
+    example = "disconnect:1"
+
+
+class _TaskFaultPlan:
+    """A reproducible schedule of task faults.
+
+    At most one spec fires per attempt; with several matching specs the
+    first wins.  Every firing is logged in :attr:`fired` as the fault
+    kind followed by the directive's arguments, for replay assertions.
     """
 
-    def __init__(
-        self, specs: tuple[PoolFaultSpec, ...] | list[PoolFaultSpec] = ()
-    ) -> None:
+    def __init__(self, specs: tuple[Any, ...] | list[Any] = ()) -> None:
         self.specs = tuple(specs)
-        self.fired: list[tuple[str, int, int]] = []
+        self.fired: list[tuple[Any, ...]] = []
+
+    def _fire(self, task_index: int, attempt: int, *where: Any) -> str | None:
+        for spec in self.specs:
+            if spec.task_index == task_index and (
+                attempt == 1 or spec.repeat
+            ):
+                self.fired.append((spec.kind, *where))
+                return spec.kind
+        return None
+
+
+class PoolFaultPlan(_TaskFaultPlan):
+    """Pool-transport faults; the parent asks at every child spawn."""
 
     def wants_hang(self) -> bool:
         """Whether any spec injects a hang (needs a task_timeout to reap)."""
@@ -88,102 +150,14 @@ class PoolFaultPlan:
     def directive(self, task_index: int, attempt: int) -> str | None:
         """The fault kind to arm for this spawn (``None`` = run clean).
 
-        ``attempt`` is 1-based.  At most one spec fires per spawn; with
-        several matching specs the first wins.
+        ``attempt`` is 1-based; a firing is logged as
+        ``(kind, task_index, attempt)``.
         """
-        for spec in self.specs:
-            if spec.task_index != task_index:
-                continue
-            if attempt == 1 or spec.repeat:
-                self.fired.append((spec.kind, task_index, attempt))
-                return spec.kind
-        return None
+        return self._fire(task_index, attempt, task_index, attempt)
 
 
-def parse_pool_fault(text: str) -> PoolFaultSpec:
-    """Parse a CLI pool-fault spec: ``KIND:TASK_INDEX[:repeat]``.
-
-    Examples: ``kill:1`` (task 1's first worker dies, the retry
-    succeeds), ``hang:0`` (task 0 stalls until the watchdog reaps it),
-    ``corrupt-payload:2:repeat`` (task 2's result is corrupted on every
-    attempt and the task ends up quarantined).
-    """
-    parts = text.split(":")
-    if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "repeat"):
-        raise ValueError(
-            f"bad pool fault spec {text!r}; expected KIND:TASK_INDEX[:repeat],"
-            f" e.g. kill:1 (kinds: {POOL_FAULT_KINDS})"
-        )
-    kind, index_text = parts[:2]
-    try:
-        task_index = int(index_text)
-    except ValueError:
-        raise ValueError(
-            f"bad pool fault spec {text!r}: task index {index_text!r} "
-            "is not an integer"
-        ) from None
-    return PoolFaultSpec(
-        kind=kind, task_index=task_index, repeat=len(parts) == 3
-    )
-
-
-#: Network failure modes the distributed transport is drilled against
-#: (docs/distributed.md):
-#:
-#: * ``disconnect`` — send the task, then abruptly close the connection;
-#:   exercises reconnect-with-backoff plus the resend of in-flight work.
-#: * ``delay`` — a deterministic pause before the task frame goes out;
-#:   exercises slow-network tolerance (results stay bit-identical).
-#: * ``partial-frame`` — ship only a prefix of the task frame, then
-#:   close; the agent's torn-frame path (:class:`FrameError`) fires.
-#: * ``corrupt-frame`` — flip a payload byte *after* the digest is
-#:   computed; the agent's integrity check rejects the task and the
-#:   client re-sends.
-#: * ``blackhole`` — the client stops reading from and pinging the
-#:   connection, so the agent falls silent from the client's view; the
-#:   heartbeat deadline trips and the reconnect ladder runs.
-NET_FAULT_KINDS = (
-    "disconnect", "delay", "partial-frame", "corrupt-frame", "blackhole"
-)
-
-
-@dataclass(frozen=True)
-class NetFaultSpec:
-    """Inject network fault ``kind`` when sending task ``task_index``.
-
-    Same firing contract as :class:`PoolFaultSpec`: ``repeat=False``
-    fires on the task's first send attempt only (the resend runs clean),
-    ``repeat=True`` fires on every attempt.
-    """
-
-    kind: str
-    task_index: int
-    repeat: bool = False
-
-    def __post_init__(self) -> None:
-        check_choice("net fault kind", self.kind, NET_FAULT_KINDS)
-        if self.task_index < 0:
-            raise ValueError(
-                f"net fault task index must be >= 0, got {self.task_index}"
-            )
-
-
-class NetFaultPlan:
-    """A reproducible schedule of network-transport faults.
-
-    The :class:`~repro.pool.hosts.HostPool` asks :meth:`directive` each
-    time it is about to put a task on the wire; a matching spec returns
-    its kind and is logged in :attr:`fired` as
-    ``(kind, host_label, task_index, attempt)`` for replay assertions.
-    Faults are injected client-side, so one plan drills any topology —
-    the agent never needs a chaos build.
-    """
-
-    def __init__(
-        self, specs: tuple[NetFaultSpec, ...] | list[NetFaultSpec] = ()
-    ) -> None:
-        self.specs = tuple(specs)
-        self.fired: list[tuple[str, str, int, int]] = []
+class NetFaultPlan(_TaskFaultPlan):
+    """Network-transport faults; the host pool asks at every task send."""
 
     def directive(
         self, host_label: str, task_index: int, attempt: int
@@ -191,40 +165,41 @@ class NetFaultPlan:
         """The fault kind to inject at this send (``None`` = run clean).
 
         ``attempt`` is the task's 1-based send attempt (resends after a
-        reconnect or a rejected frame count up).  At most one spec fires
-        per send; with several matching specs the first wins.
+        reconnect or a rejected frame count up); a firing is logged as
+        ``(kind, host_label, task_index, attempt)``.
         """
-        for spec in self.specs:
-            if spec.task_index != task_index:
-                continue
-            if attempt == 1 or spec.repeat:
-                self.fired.append((spec.kind, host_label, task_index, attempt))
-                return spec.kind
-        return None
+        return self._fire(
+            task_index, attempt, host_label, task_index, attempt
+        )
+
+
+def parse_pool_fault(text: str) -> PoolFaultSpec:
+    """Parse ``KIND:TASK_INDEX[:repeat]``, e.g. ``kill:1`` or
+    ``corrupt-payload:2:repeat``."""
+    return PoolFaultSpec.parse(text)
 
 
 def parse_net_fault(text: str) -> NetFaultSpec:
-    """Parse a CLI net-fault spec: ``KIND:TASK_INDEX[:repeat]``.
+    """Parse ``KIND:TASK_INDEX[:repeat]``, e.g. ``disconnect:1`` or
+    ``corrupt-frame:2:repeat``."""
+    return NetFaultSpec.parse(text)
 
-    Examples: ``disconnect:1`` (the connection carrying task 1 drops once
-    and the resend succeeds), ``blackhole:0`` (task 0's host goes silent
-    until the heartbeat deadline trips), ``corrupt-frame:2:repeat``
-    (task 2's frame is corrupted on every send).
-    """
-    parts = text.split(":")
-    if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "repeat"):
-        raise ValueError(
-            f"bad net fault spec {text!r}; expected KIND:TASK_INDEX[:repeat],"
-            f" e.g. disconnect:1 (kinds: {NET_FAULT_KINDS})"
-        )
-    kind, index_text = parts[:2]
-    try:
-        task_index = int(index_text)
-    except ValueError:
-        raise ValueError(
-            f"bad net fault spec {text!r}: task index {index_text!r} "
-            "is not an integer"
-        ) from None
-    return NetFaultSpec(
-        kind=kind, task_index=task_index, repeat=len(parts) == 3
-    )
+
+def fault_plan_arg(
+    parse: Callable[[str], Any], plan: Callable[[list[Any]], Any]
+) -> Callable[[str], Any]:
+    """An argparse ``type=`` turning one CLI fault spec into a ``plan``;
+    a malformed spec exits 2 with the parser's own message."""
+
+    def convert(text: str) -> Any:
+        try:
+            return plan([parse(text)])
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+#: argparse ``type=`` for ``--inject-pool-fault`` / ``--inject-net-fault``.
+pool_fault_arg = fault_plan_arg(parse_pool_fault, PoolFaultPlan)
+net_fault_arg = fault_plan_arg(parse_net_fault, NetFaultPlan)

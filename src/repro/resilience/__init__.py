@@ -6,12 +6,12 @@ degradation.  See ``docs/resilience.md`` for the work-unit model, the
 transient/fatal taxonomy, the checkpoint file format and resume semantics.
 """
 
-from repro.resilience.atomic import atomic_write_text, durable_append_text
-from repro.resilience.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointStore,
+from repro.resilience.atomic import (
+    atomic_write_text,
+    durable_append_text,
     record_crc,
 )
+from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
 from repro.resilience.faults import (
     FAULT_KINDS,
     FAULT_OPS,

@@ -17,18 +17,29 @@ the CRC-guarded JSONL readers quarantine; everything fsync'd before the
 crash is complete and intact.  These two helpers are the *only* sanctioned
 ways for ``repro.service`` / ``repro.resilience`` modules to persist state
 (lint rule RPL010 flags bare writes).
+
+Checkpoint lines, journal lines and cache entries share one record
+format, whose only codec is :func:`encode_record` / :func:`decode_record`:
+a canonical JSON object carrying its ``schema`` and a CRC-32 of itself.
+Readers only *detect* a bad record (the solve that made it is
+recomputable); :func:`read_records` and :func:`move_aside` keep the
+rejected bytes as evidence (docs/resilience.md).
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import tempfile
+import zlib
 from pathlib import Path
+from typing import Any, Callable
 
 __all__ = [
     "append_text", "atomic_write_text", "durable_append_text",
-    "fsync_path",
+    "fsync_path", "record_crc", "encode_record", "parse_record",
+    "decode_record", "read_records", "move_aside",
 ]
 
 
@@ -42,7 +53,7 @@ def _fsync_dir(parent: Path) -> None:
             os.close(dir_fd)
 
 
-def append_text(path: Path | str, text: str) -> int:
+def append_text(path: Path | str, text: str | bytes) -> int:
     """Append ``text`` to ``path`` (flushed, **not** fsync'd); returns
     the start byte offset of the appended text.
 
@@ -65,7 +76,7 @@ def append_text(path: Path | str, text: str) -> int:
         # seek to the end so the returned offset is the true record start.
         handle.seek(0, os.SEEK_END)
         offset = handle.tell()
-        handle.write(text.encode("utf-8"))
+        handle.write(text if isinstance(text, bytes) else text.encode("utf-8"))
         handle.flush()
     if created:
         _fsync_dir(path.parent)
@@ -86,7 +97,7 @@ def fsync_path(path: Path | str) -> None:
         os.close(fd)
 
 
-def durable_append_text(path: Path | str, text: str) -> int:
+def durable_append_text(path: Path | str, text: str | bytes) -> int:
     """Durably append ``text`` to ``path``; returns the start byte offset.
 
     The bytes are flushed and fsync'd before returning, so once this
@@ -129,3 +140,89 @@ def atomic_write_text(path: Path | str, text: str) -> None:
     # Durability of the rename: fsync the containing directory (best
     # effort -- not every platform allows opening directories).
     _fsync_dir(path.parent)
+
+
+def record_crc(record: dict[str, Any]) -> str:
+    """CRC-32 (8 hex digits) of a record's canonical JSON, sans ``crc``."""
+    body = {key: value for key, value in record.items() if key != "crc"}
+    text = json.dumps(body, sort_keys=True)
+    return f"{zlib.crc32(text.encode('utf-8')) & 0xFFFFFFFF:08x}"
+
+
+def encode_record(record: dict[str, Any], schema: int) -> str:
+    """Stamp ``schema`` and ``crc`` into ``record``; return its JSON line
+    (canonical, no trailing newline)."""
+    record["schema"] = schema
+    record["crc"] = record_crc(record)
+    return json.dumps(record, sort_keys=True)
+
+
+def parse_record(raw: bytes) -> dict[str, Any] | None:
+    """``raw`` as a JSON object if it is one in strict UTF-8, else
+    ``None``; never raises, since a record file may hold any bytes."""
+    try:
+        record = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def decode_record(raw: bytes, schema: int) -> dict[str, Any] | None:
+    """The record :func:`encode_record` wrote as ``raw``, or ``None``:
+    ``raw`` must parse and carry ``schema`` and a matching string ``crc``.
+    Never raises; callers add only their own field checks."""
+    record = parse_record(raw)
+    if record is None or record.get("schema") != schema:
+        return None
+    crc = record.get("crc")
+    if not isinstance(crc, str) or crc != record_crc(record):
+        return None
+    return record
+
+
+def read_records(
+    path: Path,
+    decode: Callable[[bytes], dict[str, Any] | None],
+    quarantine_path: Path,
+    accept: Callable[[int, dict[str, Any]], None],
+) -> int:
+    """Decode a record file line by line (split on ``b"\\n"`` only).
+
+    ``accept(offset, record)`` sees each line ``decode`` accepts, in file
+    order, with its start offset; the original bytes of the rejected
+    lines are durably appended to ``quarantine_path``, and their count
+    is returned.  Blank lines are skipped.
+    """
+    rejected: list[bytes] = []
+    offset = 0
+    with open(path, "rb") as handle:
+        for raw in handle:
+            start, offset = offset, offset + len(raw)
+            line = raw.removesuffix(b"\n")
+            if not line.strip():
+                continue
+            record = decode(line)
+            if record is None:
+                rejected.append(line)
+            else:
+                accept(start, record)
+    if rejected:
+        # Evidence must survive the very crashes it documents.
+        durable_append_text(quarantine_path, b"\n".join(rejected) + b"\n")
+    return len(rejected)
+
+
+def move_aside(path: Path, target: Path) -> Path | None:
+    """Move ``path`` to ``target``, or to ``target`` + ``1``, ``2``, ...
+    if that exists, so earlier evidence is never overwritten.  Returns the
+    new path, or ``None`` if a racing mover already took the file."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    candidate, i = target, 1
+    while candidate.exists():
+        candidate = target.with_name(f"{target.name}{i}")
+        i += 1
+    try:
+        os.replace(path, candidate)
+    except FileNotFoundError:
+        return None
+    return candidate

@@ -6,40 +6,48 @@ every completed work unit appends one JSON record::
     {"attempts": 1, "crc": "5f3a9c21", "key": "biskup_n10_k1_h0.4|SA_60",
      "payload": {...}, "schema": 2}
 
-Persistence is crash-safe: each append rewrites the file through
-:func:`repro.resilience.atomic.atomic_write_text` (temp file + fsync +
-rename), so the on-disk file is always a complete, parseable snapshot.
-
-Loading is *tolerant but honest*.  Every schema-2 line carries a CRC-32 of
-its canonical record text; a line that fails to parse, lacks its CRC, or
-fails the CRC check (bit rot, a torn write from an out-of-band editor, a
-truncated tail from a pre-atomic build) is **quarantined**: the raw line
-is preserved verbatim in a ``<file>.quarantine`` sidecar and counted in
-:attr:`CheckpointStore.skipped_lines`, and the unit simply reruns.  A
-resumed run therefore never silently replays a corrupt payload — losing
-one cell to corruption must not lose the run, but it must not poison it
-either.  Legacy schema-1 lines (no CRC) are accepted as-is.
+Each append rewrites the file through
+:func:`repro.resilience.atomic.atomic_write_text`, so the file on disk
+is always a complete snapshot.  Lines use the CRC record codec of
+:mod:`repro.resilience.atomic`; a line it rejects is quarantined verbatim
+to a ``<file>.quarantine`` sidecar, counted in
+:attr:`CheckpointStore.skipped_lines`, and its unit simply reruns.
+Legacy schema-1 lines (written before the CRC, so carrying none) are
+accepted as-is.
 """
 
 from __future__ import annotations
 
 import json
-import zlib
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.resilience.atomic import atomic_write_text, durable_append_text
+from repro.resilience.atomic import (
+    atomic_write_text,
+    decode_record,
+    encode_record,
+    parse_record,
+    read_records,
+)
 
-__all__ = ["CheckpointStore", "CHECKPOINT_SCHEMA", "record_crc"]
+__all__ = ["CheckpointStore", "CHECKPOINT_SCHEMA"]
 
 CHECKPOINT_SCHEMA = 2
 
 
-def record_crc(record: dict[str, Any]) -> str:
-    """CRC-32 (8 hex digits) of a record's canonical JSON, sans ``crc``."""
-    body = {key: value for key, value in record.items() if key != "crc"}
-    text = json.dumps(body, sort_keys=True)
-    return f"{zlib.crc32(text.encode('utf-8')) & 0xFFFFFFFF:08x}"
+def _checkpoint_record(line: bytes) -> dict[str, Any] | None:
+    record = decode_record(line, CHECKPOINT_SCHEMA)
+    if record is None:
+        # A pre-CRC schema-1 line is trusted as-is; anything carrying a
+        # crc, or another schema, had its chance above.
+        record = parse_record(line)
+        if record is None or "crc" in record or (
+            record.get("schema", 1) != 1
+        ):
+            return None
+    if not isinstance(record.get("key"), str) or "payload" not in record:
+        return None
+    return record
 
 
 class CheckpointStore:
@@ -58,40 +66,19 @@ class CheckpointStore:
             self.path.name + ".quarantine"
         )
         self._records: dict[str, dict[str, Any]] = {}
+        #: The canonical line of each record, as :meth:`flush` writes it.
+        self._lines: dict[str, str] = {}
         self.skipped_lines = 0
         if fresh:
             self.path.unlink(missing_ok=True)
         elif self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        rejected: list[str] = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                key = record["key"]
-                record["payload"]
-            except (json.JSONDecodeError, TypeError, KeyError):
-                # A truncated tail line (pre-atomic writer, torn write) or
-                # garbage: quarantine it; the unit simply reruns.
-                rejected.append(line)
-                continue
-            if int(record.get("schema", 1)) >= 2:
-                # Schema 2+: the line must carry a matching content CRC.
-                crc = record.get("crc")
-                if not isinstance(crc, str) or crc != record_crc(record):
-                    rejected.append(line)
-                    continue
-            self._records[key] = record
-        if rejected:
-            self.skipped_lines = len(rejected)
-            # Evidence must survive the very crashes it documents.
-            durable_append_text(
-                self.quarantine_path, "\n".join(rejected) + "\n"
+            self.skipped_lines = read_records(
+                self.path, _checkpoint_record, self.quarantine_path, self._keep
             )
+
+    def _keep(self, _offset: int, record: dict[str, Any]) -> None:
+        self._records[record["key"]] = record
+        self._lines[record["key"]] = json.dumps(record, sort_keys=True)
 
     def __contains__(self, key: str) -> bool:
         return key in self._records
@@ -114,20 +101,13 @@ class CheckpointStore:
 
     def append(self, key: str, payload: Any, attempts: int = 1) -> None:
         """Record one completed unit and persist the file atomically."""
-        record = {
-            "schema": CHECKPOINT_SCHEMA,
-            "key": key,
-            "attempts": attempts,
-            "payload": payload,
-        }
-        record["crc"] = record_crc(record)
+        record = {"key": key, "attempts": attempts, "payload": payload}
+        self._lines[key] = encode_record(record, CHECKPOINT_SCHEMA)
         self._records[key] = record
         self.flush()
 
     def flush(self) -> None:
         """Write the current snapshot to disk (temp + fsync + rename)."""
-        lines = [
-            json.dumps(record, sort_keys=True)
-            for record in self._records.values()
-        ]
-        atomic_write_text(self.path, "\n".join(lines) + ("\n" if lines else ""))
+        atomic_write_text(
+            self.path, "".join(line + "\n" for line in self._lines.values())
+        )

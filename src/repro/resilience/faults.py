@@ -27,6 +27,7 @@ from repro.gpusim.errors import (
     InvalidLaunchError,
     LaunchTimeoutError,
 )
+from repro.pool.faults import split_fault_spec
 
 __all__ = ["FAULT_KINDS", "FAULT_OPS", "FaultSpec", "FaultPlan", "parse_fault"]
 
@@ -126,18 +127,9 @@ def parse_fault(text: str) -> FaultSpec:
     Examples: ``launch:40:transient``, ``malloc:3:oom:repeat``,
     ``launch:1200:interrupt`` (simulated Ctrl-C mid-study).
     """
-    parts = text.split(":")
-    if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "repeat"):
-        raise ValueError(
-            f"bad fault spec {text!r}; expected OP:AT:KIND[:repeat], e.g. "
-            f"launch:40:transient (ops: {FAULT_OPS}, "
-            f"kinds: {tuple(FAULT_KINDS)})"
-        )
-    op, at_text, kind = parts[:3]
-    try:
-        at = int(at_text)
-    except ValueError:
-        raise ValueError(
-            f"bad fault spec {text!r}: index {at_text!r} is not an integer"
-        ) from None
-    return FaultSpec(op=op, at=at, kind=kind, repeat=len(parts) == 4)
+    (op, at, kind), repeat = split_fault_spec(
+        text, "OP:AT:KIND", (1, "index"), "bad fault spec",
+        f"e.g. launch:40:transient (ops: {FAULT_OPS}, "
+        f"kinds: {tuple(FAULT_KINDS)})",
+    )
+    return FaultSpec(op=op, at=at, kind=kind, repeat=repeat)

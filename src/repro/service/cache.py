@@ -8,28 +8,28 @@ instance and the resolved configuration digested through
 payload-integrity checks use — and :class:`ResultCache` is a disk map
 from the key to the finished result document.
 
-Entries follow the checkpoint store's defensive format
-(:mod:`repro.resilience.checkpoint`): a JSON record carrying its own
-CRC-32, written atomically, verified on every read.  A record that fails
-*any* check — unreadable JSON, wrong schema, key mismatch (a colliding
-or renamed file), CRC mismatch (torn or bit-rotted write) — is moved
-verbatim into ``quarantine/`` next to the cache, preserving the evidence,
-and the lookup degrades to a miss: a corrupt cache can cost a recompute,
-never a wrong answer.
+Each entry is one record of the CRC record codec in
+:mod:`repro.resilience.atomic`, written atomically and decoded on every
+read.  An entry the codec rejects, or whose key does not match its
+address (a colliding or renamed file), is moved verbatim into
+``quarantine/`` next to the cache, and the lookup degrades to a miss: a
+corrupt cache can cost a recompute, never a wrong answer.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import threading
 from pathlib import Path
 from typing import Any
 
 from repro.instances.digest import instance_digest, mapping_digest
-from repro.resilience.atomic import atomic_write_text
-from repro.resilience.checkpoint import record_crc
+from repro.resilience.atomic import (
+    atomic_write_text,
+    decode_record,
+    encode_record,
+    move_aside,
+)
 from repro.service.admission import ValidatedJob
 
 __all__ = ["CACHE_SCHEMA", "CacheKey", "ResultCache"]
@@ -105,37 +105,38 @@ class ResultCache:
         """The stored result document, or ``None`` (miss / quarantined)."""
         path = self.path_for(key)
         try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return None
+            raw = path.read_bytes()
         except OSError:
-            # Unreadable but present: nothing to preserve, cannot trust.
+            # Missing, or unreadable but present: nothing to preserve,
+            # cannot trust.
             with self._lock:
                 self.misses += 1
             return None
-        payload = self._decode(text, key)
-        with self._lock:
-            if payload is None:
+        record = decode_record(raw, CACHE_SCHEMA)
+        if (
+            record is None
+            or record.get("key") != key.hex
+            or record.get("components") != key.components()
+            or not isinstance(record.get("payload"), dict)
+        ):
+            move_aside(path, self.root / "quarantine" / path.name)
+            with self._lock:
                 self.misses += 1
-            else:
-                self.hits += 1
-        if payload is None:
-            self._quarantine(path)
-        return payload
+                self.quarantined += 1
+            return None
+        with self._lock:
+            self.hits += 1
+        return record["payload"]
 
     def store(self, key: CacheKey, payload: dict[str, Any]) -> None:
         """Persist one result document under its key, atomically."""
         record = {
-            "schema": CACHE_SCHEMA,
             "key": key.hex,
             "components": key.components(),
             "payload": payload,
         }
-        record["crc"] = record_crc(record)
         atomic_write_text(
-            self.path_for(key), json.dumps(record, sort_keys=True) + "\n"
+            self.path_for(key), encode_record(record, CACHE_SCHEMA) + "\n"
         )
         with self._lock:
             self.stores += 1
@@ -148,37 +149,3 @@ class ResultCache:
                 "stores": self.stores,
                 "quarantined": self.quarantined,
             }
-
-    def _decode(self, text: str, key: CacheKey) -> dict[str, Any] | None:
-        """Validate one entry end to end; ``None`` means quarantine it."""
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(record, dict):
-            return None
-        if record.get("schema") != CACHE_SCHEMA:
-            return None
-        if record.get("crc") != record_crc(record):
-            return None
-        if record.get("key") != key.hex:
-            return None
-        if record.get("components") != key.components():
-            return None
-        payload = record.get("payload")
-        if not isinstance(payload, dict):
-            return None
-        return payload
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a rejected entry aside verbatim, preserving the evidence."""
-        quarantine_dir = self.root / "quarantine"
-        quarantine_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            os.replace(path, quarantine_dir / path.name)
-        except OSError:
-            # A racing quarantine already moved it; the count still
-            # records that this lookup rejected an entry.
-            pass
-        with self._lock:
-            self.quarantined += 1

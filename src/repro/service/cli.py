@@ -22,6 +22,8 @@ import signal
 import sys
 import threading
 
+from repro.pool.faults import pool_fault_arg
+
 __all__ = ["DEFAULT_SERVICE_PORT", "add_serve_arguments", "run_serve"]
 
 #: Default service port — one above the distributed layer's agent range
@@ -106,7 +108,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
              "scripts and CI drills use --bind ':0')",
     )
     parser.add_argument(
-        "--inject-pool-fault", default=None, metavar="KIND:JOB[:repeat]",
+        "--inject-pool-fault", type=pool_fault_arg, default=None,
+        metavar="KIND:JOB[:repeat]",
         help="deterministic worker fault injection for drills, keyed by "
              "job admission sequence, e.g. 'kill:0' (job 0's worker dies; "
              "with --task-retries the retry runs clean) or 'kill:0:repeat' "
@@ -135,15 +138,11 @@ def run_serve(args: argparse.Namespace) -> int:
         print(f"bad --bind {args.bind!r}; expected HOST[:PORT]",
               file=sys.stderr)
         return 2
-    fault_plan = None
-    if args.inject_pool_fault:
-        from repro.pool.faults import PoolFaultPlan, parse_pool_fault
-
-        fault_plan = PoolFaultPlan([parse_pool_fault(args.inject_pool_fault)])
-        if fault_plan.wants_hang() and args.task_timeout is None:
-            print("a 'hang' fault can only be reaped by the watchdog; "
-                  "set --task-timeout", file=sys.stderr)
-            return 2
+    fault_plan = args.inject_pool_fault
+    if fault_plan and fault_plan.wants_hang() and args.task_timeout is None:
+        print("a 'hang' fault can only be reaped by the watchdog; "
+              "set --task-timeout", file=sys.stderr)
+        return 2
     try:
         policy = AdmissionPolicy(
             queue_cap=args.queue_cap,

@@ -4,9 +4,8 @@ PR 8's registry was purely in-memory — a crash or restart silently lost
 every submitted job, and clients kept polling ids that could never
 resolve.  The journal closes that hole: every job state transition is
 appended to one JSONL file *before* the transition becomes observable,
-each line guarded by the same ``record_crc`` discipline as checkpoint
-lines and cache entries, each append flushed-and-fsync'd through the
-:func:`repro.resilience.atomic.append_text` / ``fsync_path`` pair
+each line written by the CRC record codec of :mod:`repro.resilience.atomic`
+and flushed-and-fsync'd through its ``append_text`` / ``fsync_path`` pair
 (write serialized under the journal lock, sync outside it).  Because the
 repo's solvers are deterministic pure functions of the cache key, the
 journal does not need to persist partial compute: re-running an
@@ -22,10 +21,10 @@ Event vocabulary (one JSON object per line)::
     failed       terminal: the structured error payload
     interrupted  drain marked the job for re-enqueue at next boot
 
-On restart, :meth:`JobJournal.replay` reads the file once: corrupt or
-truncated lines (bitrot, a torn tail from a crash mid-append, schema
-skew) are quarantined **verbatim** to a ``.quarantine`` sidecar exactly
-like cache entries, intact jobs are reconstructed — terminal jobs with a
+On restart, :meth:`JobJournal.replay` reads the file once: lines the
+codec rejects (bitrot, a torn tail from a crash mid-append, schema skew)
+are quarantined **verbatim** to a ``.quarantine`` sidecar, intact jobs
+are reconstructed — terminal jobs with a
 byte offset for seek-based read-through of their stored documents,
 non-terminal jobs (``queued`` / ``running`` / ``interrupted``) in their
 original admission order for idempotent re-execution through the
@@ -35,17 +34,17 @@ content-addressed cache.
 from __future__ import annotations
 
 import dataclasses
-import json
 import threading
 from pathlib import Path
 from typing import Any
 
 from repro.resilience.atomic import (
     append_text,
-    durable_append_text,
+    decode_record,
+    encode_record,
     fsync_path,
+    read_records,
 )
-from repro.resilience.checkpoint import record_crc
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -135,9 +134,7 @@ class JobJournal:
     # -- appends --------------------------------------------------------
 
     def _append(self, record: dict[str, Any]) -> int:
-        record["schema"] = JOURNAL_SCHEMA
-        record["crc"] = record_crc(record)
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = encode_record(record, JOURNAL_SCHEMA) + "\n"
         # Only the write is serialized under the lock (line ordering and
         # offset correctness need that); the fsync happens *after*
         # release, because fsync flushes the whole file — every append
@@ -226,68 +223,52 @@ class JobJournal:
         if not self.path.exists():
             return recovery
         jobs: dict[str, RecoveredJob] = {}
-        order: list[str] = []
-        rejected: list[str] = []
-        offset = 0
-        with open(self.path, "rb") as handle:
-            for raw in handle:
-                line_offset = offset
-                offset += len(raw)
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                record = self._decode(line)
-                if record is None:
-                    rejected.append(line)
-                    continue
-                job_id = record["job_id"]
-                job = jobs.get(job_id)
-                if job is None:
-                    job = RecoveredJob(job_id=job_id, seq=0)
-                    jobs[job_id] = job
-                    order.append(job_id)
-                event = record["event"]
-                if event == "submitted":
-                    # Fills identity fields only — never resets state: a
-                    # racing worker may have journaled running/done a
-                    # moment before the admission thread's submitted
-                    # line landed.
-                    job.seq = int(record.get("seq", 0))
-                    job.request = record.get("request")
-                    job.idempotency_key = record.get("idempotency_key")
-                    job.key = str(record.get("key", ""))
-                    job.method = str(record.get("method", ""))
-                    job.instance_name = str(record.get("instance", ""))
-                    with self._lock:
-                        self._submitted_offsets[job_id] = line_offset
-                elif event == "running":
-                    job.state = "running"
-                elif event == "done":
-                    job.state = "done"
-                    job.cached = bool(record.get("cached", False))
-                    job.terminal_offset = line_offset
-                elif event == "failed":
-                    job.state = "failed"
-                    job.terminal_offset = line_offset
-                elif event == "interrupted":
-                    job.state = "interrupted"
-        if rejected:
-            recovery.quarantined_lines = len(rejected)
-            durable_append_text(
-                self.quarantine_path, "\n".join(rejected) + "\n"
-            )
-        for job_id in order:
-            job = jobs[job_id]
+
+        def apply(line_offset: int, record: dict[str, Any]) -> None:
+            job_id = record["job_id"]
+            job = jobs.get(job_id)
+            if job is None:
+                job = jobs[job_id] = RecoveredJob(job_id=job_id, seq=0)
+            event = record["event"]
+            if event == "submitted":
+                # Fills identity fields only — never resets state: a
+                # racing worker may have journaled running/done a
+                # moment before the admission thread's submitted
+                # line landed.
+                job.seq = int(record.get("seq", 0))
+                job.request = record.get("request")
+                job.idempotency_key = record.get("idempotency_key")
+                job.key = str(record.get("key", ""))
+                job.method = str(record.get("method", ""))
+                job.instance_name = str(record.get("instance", ""))
+                with self._lock:
+                    self._submitted_offsets[job_id] = line_offset
+            elif event == "running":
+                job.state = "running"
+            elif event == "done":
+                job.state = "done"
+                job.cached = bool(record.get("cached", False))
+                job.terminal_offset = line_offset
+            elif event == "failed":
+                job.state = "failed"
+                job.terminal_offset = line_offset
+            elif event == "interrupted":
+                job.state = "interrupted"
+
+        recovery.quarantined_lines = read_records(
+            self.path, _journal_record, self.quarantine_path, apply
+        )
+        for job in jobs.values():
             recovery.max_seq = max(recovery.max_seq, job.seq)
             if job.request is None:
                 # The submitted line is gone (quarantined): there is no
                 # request to re-run and no status fields to serve.
                 continue
             if job.idempotency_key:
-                recovery.idempotency[job.idempotency_key] = job_id
+                recovery.idempotency[job.idempotency_key] = job.job_id
             if job.state in TERMINAL_EVENTS and job.terminal_offset is not None:
                 with self._lock:
-                    self._terminal_offsets[job_id] = job.terminal_offset
+                    self._terminal_offsets[job.job_id] = job.terminal_offset
                 recovery.terminal.append(job)
             else:
                 # queued / running / interrupted — or a terminal job whose
@@ -342,24 +323,15 @@ class JobJournal:
                 raw = handle.readline()
         except OSError:
             return None
-        return self._decode(raw.decode("utf-8", errors="replace").strip())
+        return _journal_record(raw.removesuffix(b"\n"))
 
-    @staticmethod
-    def _decode(line: str) -> dict[str, Any] | None:
-        """Validate one journal line end to end; ``None`` = corrupt."""
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(record, dict):
-            return None
-        if record.get("schema") != JOURNAL_SCHEMA:
-            return None
-        if record.get("event") not in JOURNAL_EVENTS:
-            return None
-        if not isinstance(record.get("job_id"), str):
-            return None
-        crc = record.get("crc")
-        if not isinstance(crc, str) or crc != record_crc(record):
-            return None
-        return record
+
+def _journal_record(line: bytes) -> dict[str, Any] | None:
+    record = decode_record(line, JOURNAL_SCHEMA)
+    if (
+        record is None
+        or record.get("event") not in JOURNAL_EVENTS
+        or not isinstance(record.get("job_id"), str)
+    ):
+        return None
+    return record

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.pool.faults import parse_net_fault, parse_pool_fault
+from repro.resilience import parse_fault
 
 
 class TestParser:
@@ -37,7 +39,7 @@ class TestParser:
         ])
         assert args.resume and args.checkpoint_dir == "/tmp/c"
         assert args.max_retries == 5 and args.unit_timeout == 30.0
-        assert args.inject_fault == "launch:40:transient"
+        assert args.inject_fault.specs == (parse_fault("launch:40:transient"),)
         assert args.backend == "vectorized"
 
     def test_experiment_resilience_defaults(self):
@@ -46,6 +48,36 @@ class TestParser:
         assert args.checkpoint_dir == "results/checkpoints"
         assert args.max_retries == 2
         assert args.unit_timeout is None and args.inject_fault is None
+
+
+class TestMalformedFaultSpecs:
+    """A malformed fault spec is a usage error: exit 2 with the parser's
+    own message, before any work runs."""
+
+    @pytest.mark.parametrize("argv, parse", [
+        (["solve", "cdd", "--backend", "multiprocess",
+          "--inject-pool-fault", "bogus:1"], parse_pool_fault),
+        (["solve", "cdd", "--backend", "distributed",
+          "--hosts", "127.0.0.1:1:1", "--inject-net-fault", "bogus:1"],
+         parse_net_fault),
+        (["experiment", "table2", "--inject-fault", "launch:x:transient"],
+         parse_fault),
+        (["experiment", "table2", "--backend", "multiprocess",
+          "--inject-pool-fault", "kill"], parse_pool_fault),
+        (["bestknown", "cdd_quick", "--workers", "2",
+          "--inject-pool-fault", "nope:1"], parse_pool_fault),
+        (["serve", "--inject-pool-fault", "nope:0"], parse_pool_fault),
+    ])
+    def test_exits_2_with_parser_message(self, argv, parse, capsys):
+        flag, spec = argv[-2:]
+        with pytest.raises(ValueError) as parsed:
+            parse(spec)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {parsed.value}" in err
+        assert "Traceback" not in err
 
 
 class TestCommands:
@@ -124,17 +156,21 @@ class TestNewCommands:
 
 
 class TestResilientCli:
-    def test_bad_fault_spec_fails_fast(self, tmp_path):
-        with pytest.raises(ValueError, match="bad fault spec"):
+    def test_bad_fault_spec_fails_fast(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["experiment", "cooling", "--scale", "smoke",
                   "--checkpoint-dir", str(tmp_path),
                   "--inject-fault", "launch:nope"])
+        assert excinfo.value.code == 2
+        assert "bad fault spec" in capsys.readouterr().err
 
-    def test_unknown_fault_kind_fails_fast(self, tmp_path):
-        with pytest.raises(ValueError, match="fault kind"):
+    def test_unknown_fault_kind_fails_fast(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["experiment", "cooling", "--scale", "smoke",
                   "--checkpoint-dir", str(tmp_path),
                   "--inject-fault", "launch:1:gamma_ray"])
+        assert excinfo.value.code == 2
+        assert "fault kind" in capsys.readouterr().err
 
     def test_negative_retries_fail_fast(self, tmp_path):
         with pytest.raises(ValueError, match="max_retries"):

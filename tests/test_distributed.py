@@ -15,6 +15,7 @@ from repro.core.solver import solver_for
 from repro.instances.biskup import biskup_instance
 from repro.pool.agent import HostAgent, spawn_local_agent
 from repro.pool.errors import AllHostsLostError, HostProtocolError
+from repro.pool.faults import parse_net_fault
 from repro.pool.hosts import HostPool
 from repro.pool.net import (
     FRAME_HELLO,
@@ -277,7 +278,7 @@ class TestCLIFlags:
         )
         assert args.hosts == "h1:4,h2:8"
         assert args.heartbeat_timeout == 5.0
-        assert args.inject_net_fault == "disconnect:0"
+        assert args.inject_net_fault.specs == (parse_net_fault("disconnect:0"),)
 
     def test_hosts_flag_requires_distributed_backend(self, capsys):
         rc = main(["solve", "cdd", "-n", "10", "--hosts", "h1:4"])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.bestknown.store import BestKnownStore
+from repro.bestknown.store import BestKnownEntry, BestKnownStore
 from repro.core.parallel_sa import ParallelSAConfig, parallel_sa
 from repro.gpusim.device import GEFORCE_GT_560M, Device
 from repro.gpusim.errors import (
@@ -125,6 +125,24 @@ class TestStoreFailures:
             store = BestKnownStore(path)
         assert len(store) == 0
         assert (tmp_path / "bestknown.json.corrupt").exists()
+
+    @pytest.mark.parametrize("record", [
+        {"objective": "abc", "method": "m"},
+        {"objective": True, "method": "m"},
+        {"objective": float("inf"), "method": "m"},
+        {"objective": 1.0, "method": 7},
+        {"objective": 1.0, "method": "m", "optimal": "yes"},
+        {"objective": 1.0, "method": "m", "meta": [1]},
+    ])
+    def test_wrong_field_types_recovered(self, tmp_path, record):
+        # Loading must catch what the next update() would trip over.
+        path = tmp_path / "bestknown.json"
+        path.write_text(json.dumps({"x": record}))
+        with pytest.warns(RuntimeWarning, match="corrupted"):
+            store = BestKnownStore(path)
+        assert len(store) == 0
+        assert (tmp_path / "bestknown.json.corrupt").exists()
+        assert store.update("x", BestKnownEntry(1.0, "m"))
 
     def test_second_corruption_gets_numbered_backup(self, tmp_path):
         path = tmp_path / "bestknown.json"

@@ -102,5 +102,7 @@ class TestCliChaosDrill:
     def test_bad_pool_fault_spec_fails_fast(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(ValueError, match="pool fault"):
+        with pytest.raises(SystemExit) as excinfo:
             main(self.ARGS + ["--inject-pool-fault", "teleport:1"])
+        assert excinfo.value.code == 2
+        assert "pool fault" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from repro.instances import biskup_instance, instance_digest, mapping_digest
 from repro.instances.ucddcp_gen import ucddcp_instance
 from repro.problems.cdd import CDDInstance
-from repro.resilience.checkpoint import record_crc
+from repro.resilience.atomic import record_crc
 from repro.service.admission import AdmissionPolicy, validate_request
 from repro.service.cache import CACHE_SCHEMA, CacheKey, ResultCache
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.resilience.checkpoint import record_crc
+from repro.resilience.atomic import record_crc
 from repro.service.journal import (
     JOURNAL_SCHEMA,
     JobJournal,
