@@ -5,7 +5,8 @@ Run:  python examples/convergence_analysis.py
 Section VI of the paper: "The reason for choosing the asynchronous version
 over the synchronous SA is due to the premature convergence of the latter
 approach, examined from our experimental analysis."  This example performs
-that experimental analysis with the instrumented driver:
+that experimental analysis on the production SA solve, observed per
+generation by ``trace_parallel_sa``:
 
 * per-generation best and mean energies of both variants,
 * the ensemble diversity (positional entropy) over time -- the synchronous

@@ -1,30 +1,27 @@
 """Instrumented parallel-SA runs: convergence, acceptance and diversity.
 
-``trace_parallel_sa`` executes the same four-kernel pipeline as
-:func:`repro.core.parallel_sa.parallel_sa` (both variants) but snapshots the
-ensemble every generation: best/mean energy, per-generation acceptance
-rate, temperature, and (periodically) the positional-entropy diversity of
-the chain population.  The snapshots are host-side instrumentation -- they
-are *not* charged to the modeled device time, which is why this module
-exists separately from the production driver.
+A trace *is* the production run, observed: :func:`trace_parallel_sa` calls
+:func:`repro.core.parallel_sa.parallel_sa` on the gpusim backend with
+``record_history=True`` and hands it an observing :class:`GpusimBackend`
+subclass.  The observer launches nothing of its own; it reads the
+per-generation statistics off the kernel arguments the driver already
+passes (the energy buffer around each ``acceptance`` launch and that
+launch's temperature) and off the population at each in-loop
+``synchronize``.  The best-ever curve is the solve's own history, and the
+modeled device time is the solve's own: host-side reads are not charged
+to the modeled clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 
 from repro.analysis.diversity import positional_entropy
-from repro.core.cooling import estimate_initial_temperature
-from repro.core.parallel_sa import ParallelSAConfig, _make_broadcast_kernel
-from repro.gpusim.device import Device
-from repro.gpusim.launch import Dim3, LaunchConfig
-from repro.kernels.acceptance import make_acceptance_kernel
-from repro.core.engine.adapters import adapter_for
-from repro.kernels.data import DeviceProblemData
-from repro.kernels.perturbation import make_perturbation_kernel
-from repro.kernels.reduction_kernel import make_elitist_reduction_kernel
+from repro.core.engine.backends import GpusimBackend
+from repro.core.parallel_sa import ParallelSAConfig, parallel_sa
 from repro.problems.cdd import CDDInstance
 from repro.problems.ucddcp import UCDDCPInstance
 
@@ -62,114 +59,62 @@ class ConvergenceTrace:
         )
 
 
+class _TraceObserver(GpusimBackend):
+    """The gpusim backend, reading generation statistics off the launches.
+
+    The driver synchronizes once after every generation and once more
+    before the final download; only the first ``iterations`` are sampled.
+    """
+
+    def __init__(self, iterations: int, diversity_every: int) -> None:
+        super().__init__()
+        self.iterations = iterations
+        self.diversity_every = diversity_every
+        self.mean_energy: list[float] = []
+        self.acceptance: list[float] = []
+        self.temperature: list[float] = []
+        self.div_gens: list[int] = []
+        self.div_vals: list[float] = []
+
+    def launch(self, kern: Any, config: Any, *args: Any) -> None:
+        if kern.name != "acceptance":
+            super().launch(kern, config, *args)
+            return
+        self._seqs, _, self._energy, _, temperature = args
+        pre = self._energy.array.copy()
+        super().launch(kern, config, *args)
+        self.acceptance.append(float(np.mean(self._energy.array != pre)))
+        self.temperature.append(temperature)
+
+    def synchronize(self) -> None:
+        super().synchronize()
+        it = len(self.mean_energy)
+        if it == self.iterations:
+            return
+        self.mean_energy.append(float(self._energy.array.mean()))
+        if it % self.diversity_every == 0 or it == self.iterations - 1:
+            self.div_gens.append(it)
+            self.div_vals.append(positional_entropy(self._seqs.array))
+
+
 def trace_parallel_sa(
     instance: CDDInstance | UCDDCPInstance,
     config: ParallelSAConfig = ParallelSAConfig(),
     diversity_every: int = 10,
 ) -> ConvergenceTrace:
     """Run the parallel SA with full per-generation instrumentation."""
-    n = instance.n
-    adapter = adapter_for(instance)
-    min_position = 1 if config.variant == "domain" else 0
-    pert = min(config.pert_size, n - min_position)
-    pop = config.population
-    host_rng = np.random.default_rng(config.seed)
-
-    t0 = (
-        config.t0
-        if config.t0 is not None
-        else estimate_initial_temperature(instance, config.t0_samples, host_rng)
+    observer = _TraceObserver(config.iterations, diversity_every)
+    result = parallel_sa(
+        instance, replace(config, record_history=True), backend=observer
     )
-
-    device = Device(
-        spec=config.resolve_device_spec(), seed=config.seed,
-        timing=config.resolve_timing_model(),
-    )
-    data = DeviceProblemData(device, instance)
-    seqs = device.malloc((pop, n), np.int32, "sequences")
-    cand = device.malloc((pop, n), np.int32, "candidates")
-    energy = device.malloc(pop, np.float64, "energy")
-    cand_energy = device.malloc(pop, np.float64, "cand_energy")
-    positions = device.malloc((pop, pert), np.int64, "pert_positions")
-    best_energy = device.malloc(1, np.float64, "best_energy")
-    best_seq = device.malloc(n, np.int32, "best_sequence")
-    result = device.malloc(2, np.float64, "reduction_result")
-
-    init = np.argsort(host_rng.random((pop, n)), axis=1).astype(np.int32)
-    if config.variant == "domain":
-        first = (np.arange(pop) % n).astype(np.int32)
-        for t in range(pop):
-            row = init[t]
-            swap_idx = int(np.nonzero(row == first[t])[0][0])
-            row[0], row[swap_idx] = row[swap_idx], row[0]
-    device.memcpy_htod(seqs, init)
-
-    cfg = LaunchConfig(grid=Dim3(x=config.grid_size),
-                       block=Dim3(x=config.block_size))
-    fitness_kernel = adapter.make_fitness_kernel()
-    perturbation_kernel = make_perturbation_kernel()
-    acceptance_kernel = make_acceptance_kernel()
-    reduction_kernel = make_elitist_reduction_kernel()
-    broadcast_kernel = (
-        _make_broadcast_kernel() if config.variant == "sync" else None
-    )
-
-    def launch_fitness(seq_buf, out_buf) -> None:
-        device.launch(fitness_kernel, cfg, seq_buf,
-                      *data.fitness_buffers(), out_buf)
-
-    best_energy.array[0] = np.inf
-    launch_fitness(seqs, energy)
-    device.launch(reduction_kernel, cfg, energy, seqs, best_energy,
-                  best_seq, result)
-
-    iters = config.iterations
-    best = np.empty(iters)
-    mean_energy = np.empty(iters)
-    acceptance = np.empty(iters)
-    temperature_track = np.empty(iters)
-    div_gens: list[int] = []
-    div_vals: list[float] = []
-
-    temperature = t0
-    sync_countdown = config.sync_segment_length
-    for it in range(iters):
-        refresh = it % config.position_refresh == 0
-        device.launch(perturbation_kernel, cfg, seqs, cand, positions,
-                      refresh, min_position)
-        launch_fitness(cand, cand_energy)
-        pre = energy.array[:pop].copy()  # instrumentation snapshot
-        device.launch(acceptance_kernel, cfg, seqs, cand, energy,
-                      cand_energy, temperature)
-        acceptance[it] = float(np.mean(energy.array[:pop] != pre))
-        device.launch(reduction_kernel, cfg, energy, seqs, best_energy,
-                      best_seq, result)
-        temperature_track[it] = temperature
-        if config.variant != "sync":
-            temperature *= config.cooling_rate
-        else:
-            sync_countdown -= 1
-            if sync_countdown == 0:
-                assert broadcast_kernel is not None
-                device.launch(broadcast_kernel, cfg, seqs, energy, result)
-                temperature *= config.cooling_rate
-                sync_countdown = config.sync_segment_length
-        device.synchronize()
-
-        best[it] = best_energy.array[0]
-        mean_energy[it] = float(energy.array[:pop].mean())
-        if it % diversity_every == 0 or it == iters - 1:
-            div_gens.append(it)
-            div_vals.append(positional_entropy(seqs.array[:pop]))
-
     return ConvergenceTrace(
         variant=config.variant,
-        best=best,
-        mean_energy=mean_energy,
-        acceptance_rate=acceptance,
-        temperature=temperature_track,
-        diversity_generations=np.asarray(div_gens),
-        diversity=np.asarray(div_vals),
-        meta={"t0": t0, "population": pop,
-              "modeled_device_time_s": device.host_time},
+        best=result.history,
+        mean_energy=np.asarray(observer.mean_energy),
+        acceptance_rate=np.asarray(observer.acceptance),
+        temperature=np.asarray(observer.temperature),
+        diversity_generations=np.asarray(observer.div_gens),
+        diversity=np.asarray(observer.div_vals),
+        meta={"t0": result.params["t0"], "population": config.population,
+              "modeled_device_time_s": result.modeled_device_time_s},
     )

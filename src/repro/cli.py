@@ -512,46 +512,26 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.core.engine.backends import GpusimBackend
     from repro.core.parallel_sa import ParallelSAConfig, parallel_sa
     from repro.gpusim.profiles import get_profile
 
     profile = get_profile(args.device_profile)
     inst = biskup_instance(args.jobs, 0.4, 1)
-    result = parallel_sa(
-        inst, ParallelSAConfig(iterations=args.iterations, seed=args.seed,
-                               device_profile=args.device_profile)
-    )
+    config = ParallelSAConfig(iterations=args.iterations, seed=args.seed,
+                              device_profile=args.device_profile)
+    backend = GpusimBackend()
+    result = parallel_sa(inst, config, backend=backend)
     print(f"instance: {inst.name}")
     print(f"device:   {profile.spec.name} [{args.device_profile}, "
           f"{profile.generation}]")
     print(result.summary())
-    # The profiler lives on the device created inside parallel_sa; repeat a
-    # short run with an explicit device to show the kernel breakdown.
-    from repro.gpusim.device import Device
-    from repro.gpusim.launch import linear_config
-    from repro.kernels.data import DeviceProblemData
-    from repro.kernels.fitness import make_cdd_fitness_kernel
-    import numpy as np
-
-    device = Device(spec=profile.spec, seed=args.seed,
-                    timing=profile.create_timing_model())
-    data = DeviceProblemData(device, inst)
-    seqs = device.malloc((768, inst.n), np.int32, "sequences")
-    out = device.malloc(768, np.float64, "fitness")
-    rng = np.random.default_rng(args.seed)
-    device.memcpy_htod(
-        seqs, np.argsort(rng.random((768, inst.n)), axis=1).astype(np.int32)
-    )
-    for _ in range(10):
-        device.launch(
-            make_cdd_fitness_kernel(), linear_config(768, 192),
-            seqs, data.p, data.a, data.b, out,
-        )
-    device.synchronize()
-    print("\nKernel profile (10 fitness launches, 768 threads):")
-    print(device.profiler.summary())
+    profiler = backend.device.profiler
+    print(f"\nKernel profile ({config.iterations} generations, "
+          f"{config.population} threads):")
+    print(profiler.summary())
     print("\nTiming-model component attribution:")
-    print(device.profiler.component_summary())
+    print(profiler.component_summary())
     return 0
 
 

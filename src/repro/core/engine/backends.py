@@ -106,7 +106,7 @@ class ExecutionBackend(ABC):
     ) -> None:
         """Initialize RNG/storage and stage the adapter's instance data.
 
-        ``timing`` is the profile's timing-model bundle; only the
+        ``timing`` is the profile's timing model; only the
         cycle-modeled backend uses it (``None`` = calibrated default).
         """
 

@@ -156,7 +156,7 @@ class DeviceSelectionMixin:
         return get_profile(self.device_profile).spec
 
     def resolve_timing_model(self) -> "TimingModel":
-        """The timing bundle the profile charges time through."""
+        """The timing model the profile charges time through."""
         if self.device_spec is not None:
             from repro.gpusim.timing import TimingModel
 

@@ -20,15 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.parallel_dpso import ParallelDPSOConfig, parallel_dpso
 from repro.core.parallel_sa import ParallelSAConfig, parallel_sa
 from repro.experiments.config import ExperimentScale, get_scale
+from repro.experiments.modeled import modeled_fitness_launch
 from repro.experiments.tables import render_table
-from repro.gpusim.device import Device
 from repro.gpusim.profiles import DEFAULT_PROFILE, get_profile
-from repro.gpusim.launch import linear_config, occupancy
 from repro.instances.biskup import biskup_instance
-from repro.kernels.data import DeviceProblemData
-from repro.kernels.fitness import make_cdd_fitness_kernel
 from repro.resilience import ResilientRunner, RunReport, WorkUnit
 
 
@@ -54,6 +52,34 @@ __all__ = [
     "StrategyAblation",
     "run_strategy_ablation",
 ]
+
+
+def _replicate_point_fn(instance, payload: dict, stem: str, replicates: int,
+                        scale: ExperimentScale, backend,
+                        solve=parallel_sa, config_cls=ParallelSAConfig,
+                        **knobs):
+    """Work-unit body: mean objective of ``replicates`` seeded solves.
+
+    Replicate ``r`` is seeded from the string ``f"{stem}:{r}"`` and runs at
+    the scale's low budget and geometry with ``knobs`` set on the config;
+    the payload is ``payload`` plus the mean ``objective``.
+    """
+
+    def run() -> dict:
+        vals = []
+        for r in range(replicates):
+            seed = zlib.crc32(f"{stem}:{r}".encode()) & 0x7FFFFFFF
+            config = config_cls(
+                iterations=scale.iterations_low,
+                grid_size=scale.grid_size,
+                block_size=scale.block_size,
+                seed=seed,
+                **knobs,
+            )
+            vals.append(solve(instance, config, backend=backend).objective)
+        return {**payload, "objective": float(np.mean(vals))}
+
+    return run
 
 
 # ----------------------------------------------------------------------
@@ -89,34 +115,17 @@ class BlockSizeAblation:
         return f"{tab}\n\n{footnote}" if footnote else tab
 
 
-def _blocksize_point_fn(instance, n: int, block: int, total_threads: int,
+def _blocksize_point_fn(instance, block: int, total_threads: int,
                         fault_plan, device_profile: str = DEFAULT_PROFILE):
     """Work-unit body of one block-size point."""
 
     def run() -> dict:
-        profile = get_profile(device_profile)
-        kernel = make_cdd_fitness_kernel()
-        device = Device(spec=profile.spec, seed=1, fault_plan=fault_plan,
-                        timing=profile.create_timing_model())
-        data = DeviceProblemData(device, instance)
-        seqs = device.malloc((total_threads, n), np.int32, "sequences")
-        out = device.malloc(total_threads, np.float64, "fitness")
-        rng = np.random.default_rng(7)
-        device.memcpy_htod(
-            seqs,
-            np.argsort(rng.random((total_threads, n)), axis=1).astype(np.int32),
-        )
-        cfg = linear_config(total_threads, block)
-        device.reset_clocks()
-        device.launch(kernel, cfg, seqs, data.p, data.a, data.b, out)
-        device.synchronize()
-        occ = occupancy(
-            profile.spec, block, kernel.registers_per_thread,
-            kernel.shared_bytes_for(seqs, data.p, data.a, data.b, out),
+        kernel_time, occ = modeled_fitness_launch(
+            instance, total_threads, block, fault_plan, device_profile
         )
         return {
             "block": block,
-            "kernel_time_s": float(device.profiler.kernel_time()),
+            "kernel_time_s": kernel_time,
             "occupancy_pct": float(occ.occupancy * 100.0),
             "limiter": occ.limiter,
         }
@@ -143,7 +152,7 @@ def run_blocksize_ablation(
     units = [
         WorkUnit(
             key=f"block{block}",
-            run=_blocksize_point_fn(instance, n, block, total_threads,
+            run=_blocksize_point_fn(instance, block, total_threads,
                                     runner.fault_plan, device_profile),
         )
         for block in sizes
@@ -207,34 +216,6 @@ class SyncAsyncAblation:
         return f"{tab}\n\n{footnote}" if footnote else tab
 
 
-def _syncasync_point_fn(n: int, variant: str, replicates: int,
-                        scale: ExperimentScale, backend):
-    """Work-unit body: one SA variant's replicate mean at one size."""
-
-    def run() -> dict:
-        instance = biskup_instance(n, 0.4, 1)
-        vals = []
-        for r in range(replicates):
-            seed = zlib.crc32(f"syncasync:{n}:{r}".encode()) & 0x7FFFFFFF
-            vals.append(
-                parallel_sa(
-                    instance,
-                    ParallelSAConfig(
-                        iterations=scale.iterations_low,
-                        grid_size=scale.grid_size,
-                        block_size=scale.block_size,
-                        variant=variant,
-                        seed=seed,
-                    ),
-                    backend=backend,
-                ).objective
-            )
-        return {"size": n, "variant": variant,
-                "objective": float(np.mean(vals))}
-
-    return run
-
-
 def run_sync_vs_async(
     scale: ExperimentScale | None = None,
     replicates: int = 3,
@@ -248,7 +229,10 @@ def run_sync_vs_async(
     units = [
         WorkUnit(
             key=f"n{n}|{variant}",
-            run=_syncasync_point_fn(n, variant, replicates, scale, backend),
+            run=_replicate_point_fn(
+                biskup_instance(n, 0.4, 1), {"size": n, "variant": variant},
+                f"syncasync:{n}", replicates, scale, backend, variant=variant,
+            ),
         )
         for n in sizes
         for variant in ("async", "sync")
@@ -295,32 +279,6 @@ class CoolingAblation:
         return f"{tab}\n\n{footnote}" if footnote else tab
 
 
-def _cooling_point_fn(instance, mu: float, replicates: int,
-                      scale: ExperimentScale, backend):
-    """Work-unit body of one cooling-rate point."""
-
-    def run() -> dict:
-        vals = []
-        for r in range(replicates):
-            seed = zlib.crc32(f"cooling:{mu}:{r}".encode()) & 0x7FFFFFFF
-            vals.append(
-                parallel_sa(
-                    instance,
-                    ParallelSAConfig(
-                        iterations=scale.iterations_low,
-                        grid_size=scale.grid_size,
-                        block_size=scale.block_size,
-                        cooling_rate=mu,
-                        seed=seed,
-                    ),
-                    backend=backend,
-                ).objective
-            )
-        return {"mu": mu, "objective": float(np.mean(vals))}
-
-    return run
-
-
 def run_cooling_ablation(
     scale: ExperimentScale | None = None,
     replicates: int = 3,
@@ -335,7 +293,10 @@ def run_cooling_ablation(
     units = [
         WorkUnit(
             key=f"mu{mu}",
-            run=_cooling_point_fn(instance, mu, replicates, scale, backend),
+            run=_replicate_point_fn(
+                instance, {"mu": mu}, f"cooling:{mu}", replicates, scale,
+                backend, cooling_rate=mu,
+            ),
         )
         for mu in scale.cooling_rates
     ]
@@ -383,30 +344,17 @@ class TextureAblation:
         return f"{tab}\n\n{footnote}" if footnote else tab
 
 
-def _texture_point_fn(instance, n: int, use_texture: bool,
+def _texture_point_fn(instance, use_texture: bool,
                       total_threads: int, fault_plan,
                       device_profile: str = DEFAULT_PROFILE):
     """Work-unit body of one texture-path variant."""
 
     def run() -> dict:
-        profile = get_profile(device_profile)
-        device = Device(spec=profile.spec, seed=1, fault_plan=fault_plan,
-                        timing=profile.create_timing_model())
-        data = DeviceProblemData(device, instance)
-        seqs = device.malloc((total_threads, n), np.int32, "sequences")
-        out = device.malloc(total_threads, np.float64, "fitness")
-        rng = np.random.default_rng(7)
-        device.memcpy_htod(
-            seqs,
-            np.argsort(rng.random((total_threads, n)), axis=1).astype(np.int32),
+        kernel_time, _ = modeled_fitness_launch(
+            instance, total_threads, 192, fault_plan, device_profile,
+            use_texture,
         )
-        kernel = make_cdd_fitness_kernel(use_texture)
-        cfg = linear_config(total_threads, 192)
-        device.reset_clocks()
-        device.launch(kernel, cfg, seqs, data.p, data.a, data.b, out)
-        device.synchronize()
-        return {"use_texture": use_texture,
-                "kernel_time_s": float(device.profiler.kernel_time())}
+        return {"use_texture": use_texture, "kernel_time_s": kernel_time}
 
     return run
 
@@ -426,7 +374,7 @@ def run_texture_ablation(
     units = [
         WorkUnit(
             key="texture" if use_texture else "plain",
-            run=_texture_point_fn(instance, n, use_texture, total_threads,
+            run=_texture_point_fn(instance, use_texture, total_threads,
                                   runner.fault_plan, device_profile),
         )
         for use_texture in (False, True)
@@ -484,36 +432,6 @@ class CouplingAblation:
         return f"{tab}\n\n{footnote}" if footnote else tab
 
 
-def _coupling_point_fn(n: int, coupling: str, replicates: int,
-                       scale: ExperimentScale, backend):
-    """Work-unit body: one DPSO coupling's replicate mean at one size."""
-
-    def run() -> dict:
-        from repro.core.parallel_dpso import ParallelDPSOConfig, parallel_dpso
-
-        instance = biskup_instance(n, 0.4, 1)
-        vals = []
-        for r in range(replicates):
-            seed = zlib.crc32(f"coupling:{n}:{r}".encode()) & 0x7FFFFFFF
-            vals.append(
-                parallel_dpso(
-                    instance,
-                    ParallelDPSOConfig(
-                        iterations=scale.iterations_low,
-                        grid_size=scale.grid_size,
-                        block_size=scale.block_size,
-                        coupling=coupling,
-                        seed=seed,
-                    ),
-                    backend=backend,
-                ).objective
-            )
-        return {"size": n, "coupling": coupling,
-                "objective": float(np.mean(vals))}
-
-    return run
-
-
 def run_coupling_ablation(
     scale: ExperimentScale | None = None,
     replicates: int = 2,
@@ -528,7 +446,12 @@ def run_coupling_ablation(
     units = [
         WorkUnit(
             key=f"n{n}|{coupling}",
-            run=_coupling_point_fn(n, coupling, replicates, scale, backend),
+            run=_replicate_point_fn(
+                biskup_instance(n, 0.4, 1), {"size": n, "coupling": coupling},
+                f"coupling:{n}", replicates, scale, backend,
+                solve=parallel_dpso, config_cls=ParallelDPSOConfig,
+                coupling=coupling,
+            ),
         )
         for n in sizes
         for coupling in couplings
@@ -582,32 +505,6 @@ class RefreshAblation:
         return f"{tab}\n\n{footnote}" if footnote else tab
 
 
-def _refresh_point_fn(instance, itv: int, replicates: int,
-                      scale: ExperimentScale, backend):
-    """Work-unit body of one refresh-interval point."""
-
-    def run() -> dict:
-        vals = []
-        for r in range(replicates):
-            seed = zlib.crc32(f"refresh:{itv}:{r}".encode()) & 0x7FFFFFFF
-            vals.append(
-                parallel_sa(
-                    instance,
-                    ParallelSAConfig(
-                        iterations=scale.iterations_low,
-                        grid_size=scale.grid_size,
-                        block_size=scale.block_size,
-                        position_refresh=itv,
-                        seed=seed,
-                    ),
-                    backend=backend,
-                ).objective
-            )
-        return {"interval": itv, "objective": float(np.mean(vals))}
-
-    return run
-
-
 def run_refresh_ablation(
     scale: ExperimentScale | None = None,
     intervals: tuple[int, ...] = (1, 2, 5, 10, 25),
@@ -623,7 +520,10 @@ def run_refresh_ablation(
     units = [
         WorkUnit(
             key=f"interval{itv}",
-            run=_refresh_point_fn(instance, itv, replicates, scale, backend),
+            run=_replicate_point_fn(
+                instance, {"interval": itv}, f"refresh:{itv}", replicates,
+                scale, backend, position_refresh=itv,
+            ),
         )
         for itv in intervals
     ]
@@ -672,36 +572,6 @@ class StrategyAblation:
         return f"{tab}\n\n{footnote}" if footnote else tab
 
 
-def _strategy_point_fn(n: int, variant: str, replicates: int,
-                       scale: ExperimentScale, backend):
-    """Work-unit body: one parallelization strategy at one size."""
-
-    def run() -> dict:
-        instance = biskup_instance(n, 0.4, 1)
-        vals = []
-        for r in range(replicates):
-            seed = zlib.crc32(
-                f"strategy:{variant}:{n}:{r}".encode()
-            ) & 0x7FFFFFFF
-            vals.append(
-                parallel_sa(
-                    instance,
-                    ParallelSAConfig(
-                        iterations=scale.iterations_low,
-                        grid_size=scale.grid_size,
-                        block_size=scale.block_size,
-                        variant=variant,
-                        seed=seed,
-                    ),
-                    backend=backend,
-                ).objective
-            )
-        return {"size": n, "variant": variant,
-                "objective": float(np.mean(vals))}
-
-    return run
-
-
 def run_strategy_ablation(
     scale: ExperimentScale | None = None,
     replicates: int = 2,
@@ -716,7 +586,11 @@ def run_strategy_ablation(
     units = [
         WorkUnit(
             key=f"n{n}|{variant}",
-            run=_strategy_point_fn(n, variant, replicates, scale, backend),
+            run=_replicate_point_fn(
+                biskup_instance(n, 0.4, 1), {"size": n, "variant": variant},
+                f"strategy:{variant}:{n}", replicates, scale, backend,
+                variant=variant,
+            ),
         )
         for n in sizes
         for variant in variants

@@ -20,13 +20,10 @@ import numpy as np
 
 from repro.experiments.ascii_plot import line_plot
 from repro.experiments.config import ExperimentScale, get_scale
+from repro.experiments.modeled import modeled_fitness_launch
 from repro.experiments.speedup import SpeedupStudy, run_speedup_study
 from repro.experiments.tables import render_table
-from repro.gpusim.device import Device
-from repro.gpusim.launch import linear_config
 from repro.instances.ucddcp_gen import ucddcp_instance
-from repro.kernels.data import DeviceProblemData
-from repro.kernels.fitness import make_ucddcp_fitness_kernel
 from repro.resilience import ResilientRunner, RunReport, WorkUnit
 
 __all__ = [
@@ -78,29 +75,14 @@ class RuntimeSurface:
         return "\n\n".join(sections)
 
 
-def _surface_point_fn(instance, n: int, threads: int, block_size: int,
-                      fault_plan):
+def _surface_point_fn(instance, threads: int, block_size: int, fault_plan):
     """Work-unit body of one thread-count point of the Fig 11 surface."""
 
     def run() -> dict:
-        kernel = make_ucddcp_fitness_kernel()
-        device = Device(seed=1, fault_plan=fault_plan)
-        data = DeviceProblemData(device, instance)
-        seqs = device.malloc((threads, n), np.int32, "sequences")
-        out = device.malloc(threads, np.float64, "fitness")
-        rng = np.random.default_rng(7)
-        device.memcpy_htod(
-            seqs, np.argsort(rng.random((threads, n)), axis=1).astype(np.int32)
+        per_launch, _ = modeled_fitness_launch(
+            instance, threads, min(block_size, threads), fault_plan
         )
-        cfg = linear_config(threads, min(block_size, threads))
-        device.reset_clocks()  # isolate the kernel from the staging cost
-        device.launch(kernel, cfg, seqs, data.p, data.m, data.a, data.b,
-                      data.g, out)
-        device.synchronize()
-        return {
-            "threads": threads,
-            "per_launch_s": float(device.profiler.kernel_time()),
-        }
+        return {"threads": threads, "per_launch_s": per_launch}
 
     return run
 
@@ -125,7 +107,7 @@ def run_runtime_surface(
     units = [
         WorkUnit(
             key=f"ucddcp_n{n}|threads{threads}",
-            run=_surface_point_fn(instance, n, threads, block_size,
+            run=_surface_point_fn(instance, threads, block_size,
                                   runner.fault_plan),
         )
         for threads in thread_counts

@@ -24,9 +24,9 @@ execution environment:
   serialization cost.
 * :mod:`~repro.gpusim.profiler` -- an nvprof-like event recorder with
   per-timing-component attribution.
-* :mod:`~repro.gpusim.timing` -- the pluggable analytic timing models
-  (launch overhead, roofline execution, PCIe transfer, atomics) bundled
-  into a :class:`~repro.gpusim.timing.TimingModel`.
+* :mod:`~repro.gpusim.timing` -- the analytic
+  :class:`~repro.gpusim.timing.TimingModel` (launch overhead, roofline
+  execution, PCIe transfer, atomics).
 * :mod:`~repro.gpusim.profiles` -- the named device-profile registry
   (GT 560M, generic Fermi, K20, Pascal, Ampere).
 

@@ -1,7 +1,7 @@
 """Device specifications and the :class:`Device` runtime object.
 
 The device charges time through an injected :class:`~repro.gpusim.timing.
-TimingModel` bundle (launch overhead, the waves x max(compute, memory)
+TimingModel` (launch overhead, the waves x max(compute, memory)
 roofline, PCIe transfers, serialized atomics); the analytic math lives in
 :mod:`repro.gpusim.timing`, the *hardware numbers* in a
 :class:`DeviceSpec`, and named generations in the
@@ -238,7 +238,7 @@ class Device:
         so the resilient execution layer can be tested against realistic
         device failures.
     timing:
-        The :class:`~repro.gpusim.timing.TimingModel` bundle all durations
+        The :class:`~repro.gpusim.timing.TimingModel` all durations
         are charged through; ``None`` uses the calibrated analytic default
         (bit-identical to the pre-refactor inline model).
     """

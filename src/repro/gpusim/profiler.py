@@ -117,13 +117,21 @@ class Profiler:
         return groups
 
     def summary(self) -> str:
-        """nvprof-style textual summary, activities sorted by total time."""
-        groups = self.by_name()
-        total = self.total_time() or 1.0
+        """nvprof-style textual summary, activities sorted by total time.
+
+        Percentages and the total cover device activity only (kernels and
+        transfers); host ``synchronize`` waits overlap that activity, so
+        they are reported on their own line instead of as a row.
+        """
+        total = self.kernel_time() + self.memcpy_time()
+        denom = total or 1.0
+        waits = [e for e in self.events if e.kind == "sync"]
         rows = []
-        for name, evs in groups.items():
+        for name, evs in self.by_name().items():
+            if evs[0].kind == "sync":
+                continue
             t = sum(e.duration for e in evs)
-            rows.append((t, 100.0 * t / total, len(evs), t / len(evs), name))
+            rows.append((t, 100.0 * t / denom, len(evs), t / len(evs), name))
         rows.sort(reverse=True)
         lines = [
             f"{'Time(%)':>8} {'Time':>12} {'Calls':>7} {'Avg':>12}  Name",
@@ -132,9 +140,12 @@ class Profiler:
             lines.append(
                 f"{pct:7.2f}% {_fmt_s(t):>12} {calls:7d} {_fmt_s(avg):>12}  {name}"
             )
-        lines.append(
-            f"Total modeled device time: {_fmt_s(total if self.events else 0.0)}"
-        )
+        if waits:
+            lines.append(
+                f"Host synchronize waits: {len(waits)} calls, "
+                f"{_fmt_s(sum(e.duration for e in waits))} (not device time)"
+            )
+        lines.append(f"Total modeled device time: {_fmt_s(total)}")
         return "\n".join(lines)
 
 

@@ -5,9 +5,9 @@ GeForce GT 560M (the text says "Kepler device", but the GT 560M is GF116
 silicon; see ``docs/paper_mapping.md``).  This registry makes the device
 a *parameter*: each :class:`DeviceProfile` pairs a validated
 :class:`~repro.gpusim.device.DeviceSpec` with the
-:class:`~repro.gpusim.timing.TimingModel` bundle it charges time
-through, so experiments can sweep the modeled speedup surface across
-generations (``repro experiment device_surface``).
+:class:`~repro.gpusim.timing.TimingModel` it charges time through, so
+experiments can sweep the modeled speedup surface across generations
+(``repro experiment device_surface``).
 
 Profiles (see ``docs/device_profiles.md`` for the full table):
 
@@ -24,8 +24,7 @@ import time rather than producing nonsense modeled runtimes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.gpusim.device import (
     GEFORCE_GT_560M,
@@ -65,13 +64,10 @@ class DeviceProfile:
     year: int
     spec: DeviceSpec
     notes: str = ""
-    timing_factory: Callable[[], TimingModel] = field(
-        default=TimingModel.default, compare=False
-    )
 
     def create_timing_model(self) -> TimingModel:
-        """The timing bundle launches on this profile charge through."""
-        return self.timing_factory()
+        """The timing model launches on this profile charge through."""
+        return TimingModel.default()
 
 
 PASCAL_GTX_1080 = DeviceSpec(

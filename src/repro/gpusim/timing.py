@@ -1,24 +1,18 @@
-"""Pluggable analytic timing models for the simulated device.
+"""The analytic timing model of the simulated device.
 
-Until this module existed the timing math lived inline in
-:meth:`Device._model_duration`; it is now factored behind four small
-interfaces (the shape of rtos_sim's ``IOverheadModel`` /
-``IExecutionTimeModel``), so a device generation is *data* (a
-:class:`~repro.gpusim.device.DeviceSpec`) plus a *model bundle*
-(:class:`TimingModel`) and either can be swapped independently:
+A device generation is *data* (a :class:`~repro.gpusim.device.DeviceSpec`)
+charged through one *model* (:class:`TimingModel`), whose methods turn the
+spec's rates into seconds:
 
-* :class:`LaunchOverheadModel` -- fixed launch cost plus per-block
-  dispatch scheduling cost;
-* :class:`ExecutionTimeModel` -- the kernel-lifetime roofline:
-  ``waves x max(compute, memory)`` with latency-hiding efficiency and
-  shared-memory staging;
-* :class:`TransferTimeModel` -- host<->device copies over the PCIe link
-  (absorbing :func:`repro.gpusim.memory.transfer_time`);
-* :class:`AtomicSerializationModel` -- serialized atomic updates at the
-  L2 latency.
+* launch overhead -- a fixed cost per launch plus per-block dispatch
+  scheduling;
+* execution -- the kernel-lifetime roofline ``waves x max(compute,
+  memory)`` with latency-hiding efficiency and shared-memory staging;
+* transfers -- host<->device copies over the PCIe link (via
+  :func:`repro.gpusim.memory.transfer_time`);
+* atomics -- serialized atomic updates at the L2 latency.
 
-The default bundle (:meth:`TimingModel.default`) reproduces the
-pre-refactor inline math **bit-identically**: one launch charges
+One launch charges
 
     overhead + max(compute, memory) + staging + dispatch + atomic
 
@@ -34,9 +28,8 @@ total, which is what the profiler's nvprof-style component attribution
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.gpusim.memory import transfer_time
 
@@ -45,19 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpusim.kernel import KernelCost
     from repro.gpusim.launch import LaunchConfig
 
-__all__ = [
-    "KernelTiming",
-    "LaunchOverheadModel",
-    "ConstantLaunchOverheadModel",
-    "ExecutionTimeModel",
-    "RooflineExecutionTimeModel",
-    "TransferTimeModel",
-    "PcieTransferModel",
-    "AtomicSerializationModel",
-    "SerializedAtomicModel",
-    "TimingModel",
-    "waves",
-]
+__all__ = ["KernelTiming", "TimingModel", "waves"]
 
 
 def waves(spec: "DeviceSpec", num_blocks: int, blocks_per_sm: int) -> int:
@@ -129,69 +110,15 @@ class KernelTiming:
         }
 
 
-class LaunchOverheadModel(ABC):
-    """Fixed costs of getting a kernel onto the device."""
+@dataclass(frozen=True)
+class TimingModel:
+    """How a :class:`~repro.gpusim.device.Device` turns spec rates into
+    charged seconds -- the calibrated analytic model every profile uses.
 
-    @abstractmethod
-    def launch_overhead(
-        self, spec: "DeviceSpec", config: "LaunchConfig"
-    ) -> float:
-        """One-time driver/runtime cost of issuing the launch."""
-
-    @abstractmethod
-    def dispatch_time(
-        self, spec: "DeviceSpec", config: "LaunchConfig"
-    ) -> float:
-        """Cost of scheduling the grid's blocks onto the SMs."""
-
-
-class ConstantLaunchOverheadModel(LaunchOverheadModel):
-    """The default: constant launch cost + linear per-block dispatch."""
-
-    def launch_overhead(
-        self, spec: "DeviceSpec", config: "LaunchConfig"
-    ) -> float:
-        return spec.kernel_launch_overhead_s
-
-    def dispatch_time(
-        self, spec: "DeviceSpec", config: "LaunchConfig"
-    ) -> float:
-        return config.num_blocks * spec.block_dispatch_overhead_s
-
-
-class ExecutionTimeModel(ABC):
-    """The in-flight cost of a kernel's thread work."""
-
-    @abstractmethod
-    def compute_time(
-        self,
-        spec: "DeviceSpec",
-        config: "LaunchConfig",
-        blocks_per_sm: int,
-        cost: "KernelCost",
-    ) -> float:
-        """SM-issue time of the busiest SM's thread-cycles."""
-
-    @abstractmethod
-    def memory_time(
-        self, spec: "DeviceSpec", config: "LaunchConfig", cost: "KernelCost"
-    ) -> float:
-        """Global-memory traffic charged against device bandwidth."""
-
-    @abstractmethod
-    def staging_time(
-        self, spec: "DeviceSpec", config: "LaunchConfig", cost: "KernelCost"
-    ) -> float:
-        """Per-block shared-memory staging traffic."""
-
-
-class RooflineExecutionTimeModel(ExecutionTimeModel):
-    """The default waves x max(compute, memory) roofline.
-
-    The busiest SM processes ``ceil(num_blocks / num_sms)`` blocks over
-    the kernel's lifetime; its total thread-cycles divided by the SM's
-    issue rate give the compute time.  When fewer warps are resident
-    than the latency-hiding depth, the issue rate degrades
+    The roofline: the busiest SM processes ``ceil(num_blocks / num_sms)``
+    blocks over the kernel's lifetime; its total thread-cycles divided by
+    the SM's issue rate give the compute time.  When fewer warps are
+    resident than the latency-hiding depth, the issue rate degrades
     proportionally.  Global traffic is charged against the device
     bandwidth, shared-memory staging once per block at on-chip bandwidth
     -- which is what makes needlessly small blocks (duplicated staging,
@@ -200,7 +127,24 @@ class RooflineExecutionTimeModel(ExecutionTimeModel):
     """
 
     #: Shared-memory staging bandwidth relative to global memory (on-chip).
-    STAGING_BANDWIDTH_RATIO = 4.0
+    STAGING_BANDWIDTH_RATIO: ClassVar[float] = 4.0
+
+    @classmethod
+    def default(cls) -> "TimingModel":
+        """The calibrated analytic model (pre-refactor math, bit-exact)."""
+        return cls()
+
+    def launch_overhead(
+        self, spec: "DeviceSpec", config: "LaunchConfig"
+    ) -> float:
+        """One-time driver/runtime cost of issuing the launch."""
+        return spec.kernel_launch_overhead_s
+
+    def dispatch_time(
+        self, spec: "DeviceSpec", config: "LaunchConfig"
+    ) -> float:
+        """Cost of scheduling the grid's blocks onto the SMs."""
+        return config.num_blocks * spec.block_dispatch_overhead_s
 
     def compute_time(
         self,
@@ -209,6 +153,7 @@ class RooflineExecutionTimeModel(ExecutionTimeModel):
         blocks_per_sm: int,
         cost: "KernelCost",
     ) -> float:
+        """SM-issue time of the busiest SM's thread-cycles."""
         tpb = config.threads_per_block
         per_sm_blocks = math.ceil(config.num_blocks / spec.num_sms)
         warps_per_block = math.ceil(tpb / spec.warp_size)
@@ -223,6 +168,7 @@ class RooflineExecutionTimeModel(ExecutionTimeModel):
     def memory_time(
         self, spec: "DeviceSpec", config: "LaunchConfig", cost: "KernelCost"
     ) -> float:
+        """Global-memory traffic charged against device bandwidth."""
         return (
             cost.global_bytes_per_thread * config.total_threads
             / spec.mem_bandwidth_bytes_per_s
@@ -231,68 +177,15 @@ class RooflineExecutionTimeModel(ExecutionTimeModel):
     def staging_time(
         self, spec: "DeviceSpec", config: "LaunchConfig", cost: "KernelCost"
     ) -> float:
+        """Per-block shared-memory staging traffic."""
         return (
             cost.shared_bytes_per_block * config.num_blocks
             / (self.STAGING_BANDWIDTH_RATIO * spec.mem_bandwidth_bytes_per_s)
         )
 
-
-class TransferTimeModel(ABC):
-    """Host<->device copy cost."""
-
-    @abstractmethod
-    def transfer_time(self, spec: "DeviceSpec", nbytes: int) -> float:
-        """Modeled duration of copying ``nbytes`` over the link."""
-
-
-class PcieTransferModel(TransferTimeModel):
-    """The default: PCIe latency plus bytes over link bandwidth."""
-
-    def transfer_time(self, spec: "DeviceSpec", nbytes: int) -> float:
-        return transfer_time(
-            nbytes, spec.pcie_bandwidth_bytes_per_s, spec.pcie_latency_s
-        )
-
-
-class AtomicSerializationModel(ABC):
-    """Serialized-atomic cost of a launch."""
-
-    @abstractmethod
     def atomic_time(self, spec: "DeviceSpec", cost: "KernelCost") -> float:
-        """Total serialized time of the launch's atomic operations."""
-
-
-class SerializedAtomicModel(AtomicSerializationModel):
-    """The default: every contending atomic pays the L2 latency in turn."""
-
-    def atomic_time(self, spec: "DeviceSpec", cost: "KernelCost") -> float:
+        """Every contending atomic pays the L2 latency in turn."""
         return cost.atomic_ops * spec.atomic_op_s
-
-
-@dataclass(frozen=True)
-class TimingModel:
-    """The model bundle a :class:`~repro.gpusim.device.Device` charges
-    time through.
-
-    Compose custom bundles for what-if studies (e.g. a zero-overhead
-    launch model, a different staging bandwidth); :meth:`default` is the
-    calibrated analytic bundle every profile ships with.
-    """
-
-    launch: LaunchOverheadModel
-    execution: ExecutionTimeModel
-    transfer: TransferTimeModel
-    atomics: AtomicSerializationModel
-
-    @classmethod
-    def default(cls) -> "TimingModel":
-        """The calibrated analytic bundle (pre-refactor math, bit-exact)."""
-        return cls(
-            launch=ConstantLaunchOverheadModel(),
-            execution=RooflineExecutionTimeModel(),
-            transfer=PcieTransferModel(),
-            atomics=SerializedAtomicModel(),
-        )
 
     def kernel_timing(
         self,
@@ -301,18 +194,19 @@ class TimingModel:
         blocks_per_sm: int,
         cost: "KernelCost",
     ) -> KernelTiming:
-        """Component breakdown of one launch under this bundle."""
+        """Component breakdown of one launch."""
         return KernelTiming(
-            overhead_s=self.launch.launch_overhead(spec, config),
-            compute_s=self.execution.compute_time(
-                spec, config, blocks_per_sm, cost
-            ),
-            memory_s=self.execution.memory_time(spec, config, cost),
-            staging_s=self.execution.staging_time(spec, config, cost),
-            dispatch_s=self.launch.dispatch_time(spec, config),
-            atomic_s=self.atomics.atomic_time(spec, cost),
+            overhead_s=self.launch_overhead(spec, config),
+            compute_s=self.compute_time(spec, config, blocks_per_sm, cost),
+            memory_s=self.memory_time(spec, config, cost),
+            staging_s=self.staging_time(spec, config, cost),
+            dispatch_s=self.dispatch_time(spec, config),
+            atomic_s=self.atomic_time(spec, cost),
         )
 
     def transfer_time(self, spec: "DeviceSpec", nbytes: int) -> float:
-        """Host<->device copy duration under this bundle."""
-        return self.transfer.transfer_time(spec, nbytes)
+        """Host<->device copy duration: PCIe latency plus bytes over link
+        bandwidth."""
+        return transfer_time(
+            nbytes, spec.pcie_bandwidth_bytes_per_s, spec.pcie_latency_s
+        )

@@ -1,8 +1,10 @@
 """Diversity metrics and instrumented convergence traces."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.convergence import trace_parallel_sa
@@ -12,8 +14,9 @@ from repro.analysis.diversity import (
     mean_pairwise_kendall,
     positional_entropy,
 )
-from repro.core.parallel_sa import ParallelSAConfig
+from repro.core.parallel_sa import ParallelSAConfig, parallel_sa
 from repro.instances.biskup import biskup_instance
+from repro.instances.ucddcp_gen import ucddcp_instance
 
 
 class TestKendallTau:
@@ -142,14 +145,48 @@ class TestConvergenceTrace:
         inst = biskup_instance(15, 0.6, 2)
         cfg = ParallelSAConfig(iterations=100, grid_size=2, block_size=16,
                                seed=9)
-        prod = parallel_sa(inst, cfg)
+        prod = parallel_sa(inst, replace(cfg, record_history=True))
         trace = trace_parallel_sa(inst, cfg)
-        assert trace.best[-1] == pytest.approx(prod.objective)
+        assert trace.best.tolist() == prod.history.tolist()
+        assert trace.best[-1] == prod.objective
 
     def test_summary_mentions_variant(self, traces):
         t_async, t_sync = traces
         assert "async" in t_async.summary()
         assert "sync" in t_sync.summary()
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    problem=st.sampled_from(["cdd", "ucddcp"]),
+    n=st.integers(5, 30),
+    variant=st.sampled_from(["async", "sync", "domain"]),
+    init=st.sampled_from(["random", "vshape"]),
+    use_texture=st.booleans(),
+    final_polish=st.booleans(),
+    position_refresh=st.integers(1, 10),
+    device_profile=st.sampled_from(["gt560m", "k20"]),
+    seed=st.integers(0, 2**16),
+)
+def test_trace_is_the_production_run(
+    problem, n, variant, init, use_texture, final_polish, position_refresh,
+    device_profile, seed,
+):
+    # The trace observes the production driver: its best-ever curve is the
+    # solve's history and its modeled time is the solve's, for every
+    # config knob that changes the trajectory or the timing.
+    inst = (biskup_instance(n, 0.4, 1) if problem == "cdd"
+            else ucddcp_instance(n, 1))
+    cfg = ParallelSAConfig(
+        iterations=25, grid_size=2, block_size=16, seed=seed,
+        variant=variant, init=init, use_texture=use_texture,
+        final_polish=final_polish, position_refresh=position_refresh,
+        device_profile=device_profile,
+    )
+    trace = trace_parallel_sa(inst, cfg)
+    result = parallel_sa(inst, replace(cfg, record_history=True))
+    assert np.array_equal(trace.best, result.history)
+    assert trace.meta["modeled_device_time_s"] == result.modeled_device_time_s
 
 
 class TestDomainTrace:

@@ -111,6 +111,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fitness_cdd" in out
         assert "Time(%)" in out
+        # The table profiles the reported solve: one launch per generation.
+        rows = [line.split() for line in out.splitlines()]
+        calls = {row[4]: int(row[2]) for row in rows
+                 if len(row) == 5 and row[0].endswith("%")}
+        assert calls["perturbation"] == 30
+        assert calls["acceptance"] == 30
 
 
 class TestNewCommands:
