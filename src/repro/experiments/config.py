@@ -59,14 +59,6 @@ class ExperimentScale:
         """CDD instances aggregated per job size."""
         return len(self.h_factors) * len(self.k_values)
 
-    def label_low(self) -> str:
-        """Column label of the low-iteration variant (e.g. ``SA_1000``)."""
-        return str(self.iterations_low)
-
-    def label_high(self) -> str:
-        """Column label of the high-iteration variant."""
-        return str(self.iterations_high)
-
 
 SCALES: dict[str, ExperimentScale] = {
     "smoke": ExperimentScale(

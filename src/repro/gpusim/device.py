@@ -273,12 +273,6 @@ class Device:
         """Simulated time when all queued device work completes."""
         return self.stream.tail_time
 
-    def advance_host(self, seconds: float) -> None:
-        """Charge host-side (CPU) work to the simulated wall clock."""
-        if seconds < 0:
-            raise ValueError("cannot rewind the host clock")
-        self._host_time += seconds
-
     def synchronize(self) -> float:
         """Block the host until the device is idle; returns host time."""
         start = self._host_time

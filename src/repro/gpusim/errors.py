@@ -90,7 +90,7 @@ def register_transient(*error_types: type[BaseException]) -> None:
     """
     for tp in error_types:
         if tp not in _TRANSIENT_REGISTRY:
-            _TRANSIENT_REGISTRY.append(tp)
+            _TRANSIENT_REGISTRY.append(tp)  # repro-lint: disable=RPL006 -- import-time idempotent registration: register_transient runs from module bodies during import, never post-import, so fork/spawn workers all rebuild identical registry state
 
 
 def transient_types() -> tuple[type[BaseException], ...]:

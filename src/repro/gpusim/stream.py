@@ -27,17 +27,11 @@ class Stream:
     def __init__(self, name: str = "default") -> None:
         self.name = name
         self._tail = 0.0  # device time at which all queued work is done
-        self._ops = 0
 
     @property
     def tail_time(self) -> float:
         """Device time when the last enqueued operation completes."""
         return self._tail
-
-    @property
-    def queued_ops(self) -> int:
-        """Number of operations enqueued so far (monotone counter)."""
-        return self._ops
 
     def enqueue(self, earliest_start: float, duration: float) -> tuple[float, float]:
         """Queue an operation; returns its simulated ``(start, end)`` times.
@@ -49,7 +43,6 @@ class Stream:
             raise ValueError("duration must be non-negative")
         start = max(self._tail, earliest_start)
         self._tail = start + duration
-        self._ops += 1
         return start, self._tail
 
     def wait(self, host_time: float) -> float:

@@ -6,9 +6,9 @@ exhaustively: seeded :class:`numpy.random.Generator` streams only, no
 wall-clock reads in deterministic paths, spawn-picklable pool payloads,
 and failures routed through the :mod:`repro.gpusim.errors` transient/fatal
 taxonomy.  This package enforces those rules *statically*: a stdlib-only
-:mod:`ast` analyzer with per-rule codes (``RPL0xx``), inline suppressions
-carrying a rationale, and a path-scoped policy read from
-``pyproject.toml [tool.repro-lint]``.
+:mod:`ast` analyzer with per-rule codes (``RPL0xx``), each scoped to
+the modules it guards, and inline suppressions carrying a rationale as
+the one exemption mechanism.
 
 Since the service/pool layers went multi-threaded the analyzer also
 checks *concurrency* discipline: a cross-module :class:`~repro.lint.
@@ -30,9 +30,8 @@ bad/good examples in ``docs/lint.md``.
 
 from __future__ import annotations
 
-from repro.lint.engine import Finding, LintEngine, LintResult
+from repro.lint.engine import Finding, LintEngine, LintResult, UsageError
 from repro.lint.index import ProjectIndex
-from repro.lint.policy import Policy, PolicyError
 from repro.lint.report import render_findings
 from repro.lint.rules import RULES, Rule
 
@@ -40,10 +39,9 @@ __all__ = [
     "Finding",
     "LintEngine",
     "LintResult",
-    "Policy",
-    "PolicyError",
     "ProjectIndex",
     "RULES",
     "Rule",
+    "UsageError",
     "render_findings",
 ]

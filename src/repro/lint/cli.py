@@ -4,8 +4,7 @@ Exit codes follow the usual analyzer convention:
 
 * ``0`` — clean (no findings),
 * ``1`` — findings reported,
-* ``2`` — usage/configuration error (bad path, unknown rule code,
-  malformed ``[tool.repro-lint]`` policy).
+* ``2`` — usage error (missing path, unknown rule code).
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import sys
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from repro.lint.engine import LintEngine
-from repro.lint.policy import Policy, PolicyError
+from repro.lint.engine import LintEngine, UsageError
 from repro.lint.report import render_findings
 from repro.lint.rules import iter_rules
 
@@ -43,13 +41,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--root", default=None, metavar="DIR",
-        help="repo root for policy loading and relative paths "
+        help="directory findings' paths are shown relative to "
              "(default: the current directory)",
-    )
-    parser.add_argument(
-        "--no-policy", action="store_true",
-        help="ignore [tool.repro-lint] in pyproject.toml (built-in "
-             "rule scopes only)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -70,7 +63,7 @@ def _split_codes(values: Sequence[str] | None) -> list[str] | None:
 
 def _list_rules(stream: TextIO) -> int:
     for rule in iter_rules():
-        scope = ", ".join(rule.default_paths) if rule.default_paths else "all"
+        scope = ", ".join(rule.scope) if rule.scope else "all"
         stream.write(
             f"{rule.code} [{rule.severity}] {rule.name}: {rule.summary} "
             f"(scope: {scope})\n"
@@ -93,17 +86,14 @@ def run_lint(
     err = stderr if stderr is not None else sys.stderr
     if args.list_rules:
         return _list_rules(out)
-    root = Path(args.root) if args.root is not None else Path.cwd()
     try:
-        policy = Policy() if args.no_policy else Policy.load(root)
         engine = LintEngine(
-            policy=policy,
-            root=root,
+            root=Path(args.root) if args.root is not None else None,
             select=_split_codes(args.select),
             ignore=_split_codes(args.ignore) or (),
         )
         result = engine.lint_paths([Path(p) for p in args.paths])
-    except PolicyError as exc:
+    except UsageError as exc:
         err.write(f"repro lint: {exc}\n")
         return 2
     out.write(render_findings(result.findings, result.files_checked,

@@ -42,11 +42,7 @@ __all__ = [
 ]
 
 #: Where the threaded serving stack lives; the only trees with locks.
-_CONCURRENT_PATHS = (
-    "src/repro/service/",
-    "src/repro/pool/",
-    "src/repro/resilience/",
-)
+_CONCURRENT = ("repro.service", "repro.pool", "repro.resilience")
 
 #: Types that carry their own internal synchronization: accessing one
 #: lock-free is fine by construction, so RPL011 never guards them.
@@ -86,7 +82,7 @@ class GuardedFieldDiscipline(Rule):
     name = "guarded-field-discipline"
     severity = "error"
     summary = "lock-free access to a lock-guarded field"
-    default_paths = _CONCURRENT_PATHS
+    scope = _CONCURRENT
     project = True
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
@@ -258,7 +254,7 @@ class LockOrderConsistency(Rule):
     name = "lock-order-consistency"
     severity = "error"
     summary = "cyclic lock-acquisition order"
-    default_paths = _CONCURRENT_PATHS
+    scope = _CONCURRENT
     project = True
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
@@ -453,7 +449,7 @@ class NoBlockingCallUnderLock(Rule):
     name = "no-blocking-call-under-lock"
     severity = "error"
     summary = "blocking call while holding a lock"
-    default_paths = _CONCURRENT_PATHS
+    scope = _CONCURRENT
     project = True
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:

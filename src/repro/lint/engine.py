@@ -2,16 +2,17 @@
 
 The run is two passes over one parse.  Per file: parse (a syntax error
 becomes an ``RPL999`` finding, never a crash) and run every per-file
-rule the policy scopes to that path.  Then the **project pass**: all
-parsed files are indexed together (:class:`~repro.lint.index.
+rule whose scope covers the file's module.  Then the **project pass**:
+all parsed files are indexed together (:class:`~repro.lint.index.
 ProjectIndex`) and the project rules (RPL011–RPL013) run once over the
 cross-module view — their findings are scoped per *finding* location,
-so a cycle between a linted and an exempted file still reports at the
-linted site.  Finally each file's findings — from both passes — are
-filtered through its inline suppressions and the suppressions
-themselves are audited (``RPL000``).  Findings come back sorted by
-``(path, line, col, code)`` so text and JSON output are byte-stable
-for identical input — CI diffs the artifact across runs.
+so a cycle between an in-scope and an out-of-scope module still reports
+at the in-scope site.  Finally each file's findings — from both passes
+— are filtered through its inline suppressions and the suppressions
+themselves are audited (``RPL000``).  Inline suppressions are the only
+exemption mechanism.  Findings come back sorted by ``(path, line, col,
+code)`` so text and JSON output are byte-stable for identical input —
+CI diffs the artifact across runs.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from typing import Iterable, Sequence
 
 from repro.lint.index import ProjectIndex
 from repro.lint.model import Finding, SourceFile
-from repro.lint.policy import Policy, PolicyError
-from repro.lint.rules import RULES, iter_rules
-from repro.lint.suppress import apply_suppressions, scan_suppressions
+from repro.lint.rules import META_CODES, RULES, iter_rules
 
-__all__ = ["LintEngine", "LintResult"]
+__all__ = ["LintEngine", "LintResult", "UsageError"]
+
+
+class UsageError(ValueError):
+    """Bad input to a run: an unknown rule code or a missing path (exit 2)."""
 
 
 @dataclasses.dataclass
@@ -43,41 +46,35 @@ class LintResult:
 
 
 class LintEngine:
-    """Runs the registered rules under a policy.
+    """Runs the registered rules, each over the modules in its scope.
 
     Parameters
     ----------
-    policy:
-        The repo policy (``Policy()`` for built-in defaults).
     root:
-        Repo root that file paths are reported relative to; rule scoping
-        and policy patterns match these relative paths.
+        Directory finding paths are displayed relative to (files outside
+        it show their absolute path).  Display only: rule scopes match
+        each file's module name, which comes from where the file lives.
     select / ignore:
-        Final command-line overrides applied *on top of* the policy:
         ``select`` restricts checking to the listed codes, ``ignore``
-        drops codes.  Unknown codes raise :class:`PolicyError` (the CLI
-        maps it to exit 2).
+        drops codes.  Unknown codes raise :class:`UsageError`.
     """
 
     def __init__(
         self,
-        policy: Policy | None = None,
         root: Path | None = None,
         select: Iterable[str] | None = None,
         ignore: Iterable[str] = (),
     ) -> None:
-        self.policy = policy if policy is not None else Policy()
         self.root = (root if root is not None else Path.cwd()).resolve()
-        known = frozenset(RULES) | {"RPL000", "RPL999"}
-        self.policy.validate_codes(known)
         self.select = (
             frozenset(c.upper() for c in select) if select is not None
             else None
         )
         self.ignore = frozenset(c.upper() for c in ignore)
+        known = frozenset(RULES) | set(META_CODES)
         for code in sorted((self.select or frozenset()) | self.ignore):
             if code not in known:
-                raise PolicyError(
+                raise UsageError(
                     f"unknown rule code {code}; known: {sorted(known)}"
                 )
 
@@ -92,7 +89,7 @@ class LintEngine:
             elif path.is_file():
                 files.add(path)
             else:
-                raise PolicyError(f"no such file or directory: {path}")
+                raise UsageError(f"no such file or directory: {path}")
         return sorted(files)
 
     # -- execution ------------------------------------------------------
@@ -103,20 +100,23 @@ class LintEngine:
         sources: list[SourceFile] = []
         findings: list[Finding] = []
         for file_path in files:
-            rel = self._relative(file_path)
+            location = file_path.resolve()
+            shown = self._display(location)
             text = file_path.read_text(encoding="utf-8")
             try:
                 tree = ast.parse(text)
             except SyntaxError as exc:
-                findings.append(_parse_failure(rel, exc))
+                findings.append(_parse_failure(shown, exc))
             else:
-                sources.append(SourceFile(text, rel, tree))
+                sources.append(SourceFile(text, shown, tree, location))
         findings.extend(self._lint_sources(sources))
         return LintResult(findings=sorted(findings), files_checked=len(files))
 
-    def lint_source(self, text: str, rel_path: str) -> list[Finding]:
+    def lint_source(self, text: str, path: str) -> list[Finding]:
         """Lint one module given as text (the test fixtures' entry point).
 
+        ``path`` is both the reported path and the location the module
+        name comes from (``src/repro/core/x.py`` is ``repro.core.x``).
         Project rules still run — over an index of just this module —
         so single-file fixtures exercise RPL011–RPL013 the same way
         whole-tree runs do.
@@ -124,43 +124,31 @@ class LintEngine:
         try:
             tree = ast.parse(text)
         except SyntaxError as exc:
-            return [_parse_failure(rel_path, exc)]
-        return sorted(
-            self._lint_sources([SourceFile(text, rel_path, tree)])
-        )
+            return [_parse_failure(path, exc)]
+        return sorted(self._lint_sources([SourceFile(text, path, tree)]))
 
     def _lint_sources(self, sources: list[SourceFile]) -> list[Finding]:
         """Both passes plus suppression filtering, all files at once."""
+        by_path = {src.path: src for src in sources}
         raw: dict[str, list[Finding]] = {src.path: [] for src in sources}
+        rules = [rule for rule in iter_rules() if self._enabled(rule.code)]
         for src in sources:
-            for rule in iter_rules():
-                if rule.project or not self._enabled(rule.code):
-                    continue
-                if not self.policy.rule_applies(
-                    rule.code, rule.default_paths, src.path
-                ):
-                    continue
-                raw[src.path].extend(rule.check(src))
-        project_rules = [
-            rule for rule in iter_rules()
-            if rule.project and self._enabled(rule.code)
-        ]
+            for rule in rules:
+                if not rule.project and rule.applies_to(src.module):
+                    raw[src.path].extend(rule.check(src))
+        project_rules = [rule for rule in rules if rule.project]
         if project_rules and sources:
             index = ProjectIndex.build(sources)
             for rule in project_rules:
                 for finding in rule.check_project(index):
-                    if finding.path not in raw:
-                        continue
-                    if self.policy.rule_applies(
-                        rule.code, rule.default_paths, finding.path
-                    ):
+                    src = by_path.get(finding.path)
+                    if src is not None and rule.applies_to(src.module):
                         raw[finding.path].append(finding)
         findings: list[Finding] = []
         for src in sources:
-            suppressions = scan_suppressions(src.text, src.path)
-            audited = apply_suppressions(raw[src.path], suppressions)
             findings.extend(
-                f for f in audited if self._enabled(f.code)
+                f for f in _apply_suppressions(raw[src.path], src)
+                if self._enabled(f.code)
             )
         return findings
 
@@ -173,17 +161,68 @@ class LintEngine:
             return False
         return True
 
-    def _relative(self, file_path: Path) -> str:
-        resolved = file_path.resolve()
+    def _display(self, location: Path) -> str:
         try:
-            return resolved.relative_to(self.root).as_posix()
+            return location.relative_to(self.root).as_posix()
         except ValueError:
-            return resolved.as_posix()
+            return location.as_posix()
 
 
-def _parse_failure(rel_path: str, exc: SyntaxError) -> Finding:
+def _apply_suppressions(
+    findings: list[Finding], src: SourceFile
+) -> list[Finding]:
+    """Filter suppressed findings, then audit the suppressions themselves.
+
+    A ``# repro-lint: disable=CODES -- why`` comment silences findings of
+    the listed codes *on its own physical line*.  Returns the surviving
+    findings plus one ``RPL000`` finding per suppression defect: a code
+    that silenced nothing (stale after a refactor), a code no rule
+    defines, a meta code, or a missing ``-- rationale`` — so suppressions
+    can never rot silently.  ``RPL000`` itself is not suppressible.
+    """
+    disable = src.directives.disable
+    used: set[tuple[int, str]] = set()
+    kept: list[Finding] = []
+    for finding in findings:
+        supp = disable.get(finding.line)
+        if (
+            supp is not None
+            and finding.code in supp.codes
+            and finding.code not in META_CODES
+        ):
+            used.add((supp.line, finding.code))
+        else:
+            kept.append(finding)
+    for supp in disable.values():
+        problems: list[str] = []
+        for code in supp.codes:
+            if code in META_CODES:
+                problems.append(f"{code} is a meta code and cannot be "
+                                "suppressed")
+            elif code not in RULES:
+                problems.append(f"unknown code {code}")
+            elif (supp.line, code) not in used:
+                problems.append(f"{code} matched no finding on this line")
+        if supp.reason is None:
+            problems.append("missing rationale (append `-- <why>`)")
+        kept.extend(
+            Finding(
+                path=src.path,
+                line=supp.line,
+                col=supp.col,
+                code="RPL000",
+                message=f"suppression defect: {problem}",
+                severity="error",
+                rule="suppression-audit",
+            )
+            for problem in problems
+        )
+    return kept
+
+
+def _parse_failure(path: str, exc: SyntaxError) -> Finding:
     return Finding(
-        path=rel_path,
+        path=path,
         line=exc.lineno or 1,
         col=(exc.offset or 0) + 1,
         code="RPL999",

@@ -7,7 +7,7 @@ when it calls in.  This module builds the shared picture the
 concurrency rules (RPL011–RPL013) analyze:
 
 * every class in the linted file set, keyed by its dotted qualname
-  (``repro.service.jobs.JobRegistry``);
+  (``repro.service.jobs.JobRegistry``, from :attr:`SourceFile.module`);
 * its **lock attributes** — ``self.X = threading.Lock()`` / ``RLock`` /
   ``Condition`` assignments, resolved through the import map so aliased
   spellings still count;
@@ -20,8 +20,8 @@ concurrency rules (RPL011–RPL013) analyze:
 * a **held-at-entry** fixed point: an underscore-prefixed method called
   only from sites that hold ``_lock`` is analyzed as holding ``_lock``
   on entry (``JobRegistry._note_terminal`` is the motivating case);
-* explicit ``# repro-lint: guarded-by=_lock`` annotations, scanned from
-  comments on field-assignment lines.
+* explicit ``# repro-lint: guarded-by=_lock`` annotations on
+  field-assignment lines (from :attr:`SourceFile.directives`).
 
 Everything here is pure data extraction; the judgment calls (what
 counts as a violation) live in :mod:`repro.lint.concurrency`.
@@ -31,12 +31,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import io
-import re
-import tokenize
 from typing import Iterable, Iterator
 
-from repro.lint.model import SourceFile
+from repro.lint.model import MUTATOR_METHODS, SourceFile
 
 __all__ = [
     "ProjectIndex",
@@ -46,38 +43,12 @@ __all__ = [
     "Acquisition",
     "CallSite",
     "HeldLock",
-    "module_name",
 ]
 
 #: Fully-qualified constructors that create a mutual-exclusion object.
 LOCK_FACTORIES = frozenset({
     "threading.Lock", "threading.RLock", "threading.Condition",
 })
-
-_GUARDED_BY = re.compile(
-    r"#\s*repro-lint:\s*guarded-by=(?P<lock>[A-Za-z_][A-Za-z0-9_]*)"
-)
-
-#: Mutating method names on builtin containers (mirrors the RPL006 set;
-#: calling one through ``self.F.append(...)`` is a *write* to ``F``).
-#: Deliberately excludes ``queue.Queue``'s ``put``/``put_nowait``: the
-#: queue carries its own internal lock, so putting into it is not a
-#: write that needs the holder's guard.
-_MUTATOR_METHODS = frozenset({
-    "add", "append", "appendleft", "clear", "discard", "extend",
-    "extendleft", "insert", "pop", "popitem", "popleft", "remove",
-    "setdefault", "update",
-})
-
-
-def module_name(rel_path: str) -> str:
-    """Dotted module name for a repo-relative path (best effort)."""
-    path = rel_path
-    if path.startswith("src/"):
-        path = path[len("src/"):]
-    if path.endswith(".py"):
-        path = path[: -len(".py")]
-    return path.replace("/", ".")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,13 +169,9 @@ class ProjectIndex:
     def build(cls, sources: Iterable[SourceFile]) -> "ProjectIndex":
         classes: list[ClassInfo] = []
         for src in sources:
-            guards = _scan_guard_comments(src.text)
-            module = module_name(src.path)
             for node in ast.walk(src.tree):
                 if isinstance(node, ast.ClassDef):
-                    classes.append(
-                        _build_class(src, module, node, guards)
-                    )
+                    classes.append(_build_class(src, node))
         for info in classes:
             _solve_entry_held(info)
         return cls(classes)
@@ -217,24 +184,6 @@ class ProjectIndex:
         if type_name is None:
             return None
         return self.by_qualname.get(type_name)
-
-
-# -- comment scanning ----------------------------------------------------
-
-
-def _scan_guard_comments(text: str) -> dict[int, str]:
-    """``guarded-by`` annotations keyed by physical line."""
-    table: dict[int, str] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
-        comments = [t for t in tokens if t.type == tokenize.COMMENT]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return table
-    for tok in comments:
-        match = _GUARDED_BY.search(tok.string)
-        if match is not None:
-            table[tok.start[0]] = match.group("lock")
-    return table
 
 
 # -- class extraction ----------------------------------------------------
@@ -251,23 +200,16 @@ def _self_attr(node: ast.expr) -> str | None:
     return None
 
 
-def _build_class(
-    src: SourceFile,
-    module: str,
-    node: ast.ClassDef,
-    guards: dict[int, str],
-) -> ClassInfo:
+def _build_class(src: SourceFile, node: ast.ClassDef) -> ClassInfo:
     info = ClassInfo(
-        name=node.name, path=src.path, module=module, line=node.lineno
+        name=node.name, path=src.path, module=src.module, line=node.lineno
     )
     local_classes = {
         n.name for n in ast.walk(src.tree) if isinstance(n, ast.ClassDef)
     }
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scanner = _MethodScanner(
-                src, info, stmt, guards, local_classes
-            )
+            scanner = _MethodScanner(src, info, stmt, local_classes)
             info.methods[stmt.name] = scanner.run()
     return info
 
@@ -354,13 +296,11 @@ class _MethodScanner:
         src: SourceFile,
         cls: ClassInfo,
         fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        guards: dict[int, str],
         local_classes: set[str],
     ) -> None:
         self.src = src
         self.cls = cls
         self.fn = fn
-        self.guards = guards
         self.local_classes = local_classes
         self.info = MethodInfo(name=fn.name, line=fn.lineno)
         #: Parameter name -> annotated type (feeds ``self.x = param``).
@@ -396,7 +336,9 @@ class _MethodScanner:
             held=held,
         ))
         if kind == "write":
-            lock = self.guards.get(getattr(node, "lineno", -1))
+            lock = self.src.directives.guarded_by.get(
+                getattr(node, "lineno", -1)
+            )
             if lock is not None and attr not in self.cls.guarded_by:
                 self.cls.guarded_by[attr] = lock
                 self.cls.guarded_by_lines[attr] = getattr(
@@ -518,7 +460,7 @@ class _MethodScanner:
             elif recv_attr is not None:
                 # self.X.m(...) — a call through a field.
                 kind = (
-                    "write" if func.attr in _MUTATOR_METHODS else "read"
+                    "write" if func.attr in MUTATOR_METHODS else "read"
                 )
                 self._record_access(recv_attr, kind, func.value, held)
                 self.info.calls.append(CallSite(

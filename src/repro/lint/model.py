@@ -1,9 +1,10 @@
 """Shared data model of the analyzer: findings and parsed source files.
 
 A :class:`SourceFile` bundles everything a rule may need — the source
-text, the parsed AST, and an *import map* resolving local binding names
-back to fully qualified module paths (``np`` → ``numpy``, ``default_rng``
-→ ``numpy.random.default_rng``), so rules match semantics rather than
+text, the parsed AST, the file's dotted module name, its ``# repro-lint:``
+directives, and an *import map* resolving local binding names back to
+fully qualified module paths (``np`` → ``numpy``, ``default_rng`` →
+``numpy.random.default_rng``), so rules match semantics rather than
 spelling: ``np.random.seed``, ``numpy.random.seed`` and
 ``from numpy.random import seed`` all resolve to the same dotted name.
 """
@@ -12,13 +13,37 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from pathlib import PurePosixPath
+import io
+import re
+import tokenize
+from pathlib import Path, PurePath, PurePosixPath
 from typing import Any
 
-__all__ = ["Finding", "SourceFile", "dotted_name"]
+__all__ = [
+    "Directives", "Disable", "Finding", "SourceFile", "dotted_name",
+    "module_name", "scan_directives",
+]
 
 #: Ordering of severities, most severe first (used only for display).
 SEVERITIES = ("error", "warning")
+
+#: Mutating method names on builtin containers.  RPL006 flags them on
+#: module globals; the project index counts ``self.F.append(...)`` as a
+#: write to ``F``.  ``queue.Queue.put`` is deliberately absent: the queue
+#: carries its own lock, so putting into it needs no outside guard.
+MUTATOR_METHODS = frozenset({
+    "add", "append", "appendleft", "clear", "discard", "extend",
+    "extendleft", "insert", "pop", "popitem", "popleft", "remove",
+    "setdefault", "update",
+})
+
+_DISABLE = re.compile(
+    r"#\s*repro-lint:\s*disable=(?P<codes>[A-Za-z0-9,\s]+?)"
+    r"(?:\s+--\s*(?P<reason>\S.*))?$"
+)
+_GUARDED_BY = re.compile(
+    r"#\s*repro-lint:\s*guarded-by=(?P<lock>[A-Za-z_][A-Za-z0-9_]*)"
+)
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -53,6 +78,89 @@ class Finding:
         )
 
 
+@dataclasses.dataclass(frozen=True)
+class Disable:
+    """One ``# repro-lint: disable=CODES -- why`` comment."""
+
+    line: int
+    col: int
+    codes: tuple[str, ...]
+    reason: str | None
+
+
+@dataclasses.dataclass(frozen=True)
+class Directives:
+    """A file's ``# repro-lint:`` comments, keyed by physical line."""
+
+    disable: dict[int, Disable]
+    #: ``guarded-by=<lock>`` annotations: line -> lock attribute.
+    guarded_by: dict[int, str]
+
+
+def scan_directives(text: str) -> Directives:
+    """Every ``# repro-lint:`` directive in ``text``, in one token pass.
+
+    Tokenized rather than regexed over raw lines so ``repro-lint:``
+    inside string literals (e.g. this analyzer's own tests) never parses
+    as a directive.  An unreadable token stream yields no directives —
+    the engine reports the parse failure separately.
+    """
+    directives = Directives(disable={}, guarded_by={})
+    try:
+        comments = [
+            tok for tok in tokenize.generate_tokens(
+                io.StringIO(text).readline
+            )
+            if tok.type == tokenize.COMMENT
+        ]
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        return directives
+    for tok in comments:
+        line = tok.start[0]
+        match = _DISABLE.search(tok.string)
+        if match is not None:
+            directives.disable[line] = Disable(
+                line=line,
+                col=tok.start[1] + 1,
+                codes=tuple(
+                    code.strip().upper()
+                    for code in match.group("codes").split(",")
+                    if code.strip()
+                ),
+                reason=match.group("reason"),
+            )
+        match = _GUARDED_BY.search(tok.string)
+        if match is not None:
+            directives.guarded_by[line] = match.group("lock")
+    return directives
+
+
+def module_name(location: PurePath) -> str:
+    """Dotted module name of the file at ``location``.
+
+    The tree uses the ``src`` layout, so a module is named by its path
+    below the innermost ``src`` directory: ``…/src/repro/pool/net.py`` is
+    ``repro.pool.net`` wherever the checkout sits and whatever the
+    working directory is.  Outside any ``src`` directory the name runs
+    from the outermost enclosing package (directories holding an
+    ``__init__.py``).  A package's ``__init__.py`` names the package.
+    """
+    parts = list(PurePath(location).parts)
+    dirs = parts[:-1]
+    if "src" in dirs:
+        start = len(dirs) - dirs[::-1].index("src")
+    else:
+        start = len(dirs)
+        while start > 0 and (
+            Path(*parts[:start]) / "__init__.py"
+        ).is_file():
+            start -= 1
+    names = parts[start:-1] + [PurePosixPath(parts[-1]).stem]
+    if names[-1] == "__init__" and len(names) > 1:
+        names.pop()
+    return ".".join(names)
+
+
 class SourceFile:
     """One parsed module under analysis.
 
@@ -60,19 +168,28 @@ class SourceFile:
     ----------
     text:
         Full source text.
-    rel_path:
-        Path the findings should report, *relative to the repo root* in
-        POSIX form — rule scoping and policy exemptions match against it.
+    path:
+        Path the findings report (POSIX form); display only.
     tree:
         The parsed module (``ast.parse(text)``); the caller owns parse
         errors so the engine can turn them into findings rather than
         crashes.
+    location:
+        Where the file lives (default: ``path``); its :func:`module_name`
+        is the identity rule scopes and project qualnames use.
     """
 
-    def __init__(self, text: str, rel_path: str, tree: ast.Module) -> None:
+    def __init__(
+        self, text: str, path: str, tree: ast.Module,
+        location: PurePath | None = None,
+    ) -> None:
         self.text = text
-        self.path = str(PurePosixPath(rel_path))
+        self.path = str(PurePosixPath(path))
         self.tree = tree
+        self.module = module_name(
+            location if location is not None else PurePath(path)
+        )
+        self.directives = scan_directives(text)
         self._imports: dict[str, str] | None = None
 
     # -- import resolution ---------------------------------------------

@@ -8,10 +8,11 @@ bit-identically via ``OffsetRNG``, and pool payloads must survive a
 analyzer's own meta code (unused/unknown/rationale-less suppressions) and
 ``RPL999`` reports unparsable files.
 
-Each rule declares ``default_paths`` — repo-relative prefixes it applies
-to by default; ``pyproject.toml [tool.repro-lint.rules.RPLxxx]`` can widen,
-narrow or exempt paths (exemptions require a ``reason``).  Rules with an
-empty ``default_paths`` apply to every linted file.
+Each rule declares ``scope`` — dotted module prefixes it checks
+(``repro.pool`` covers ``repro.pool.net``), matched against each file's
+:attr:`~repro.lint.model.SourceFile.module`.  Rules with an empty
+``scope`` check every linted file.  The one way to exempt a site is an
+inline suppression with a rationale (:mod:`repro.lint.engine`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Any, Iterator
 
-from repro.lint.model import Finding, SourceFile
+from repro.lint.model import MUTATOR_METHODS, Finding, SourceFile
 
 __all__ = ["Rule", "RULES", "iter_rules"]
 
@@ -36,18 +37,24 @@ class Rule:
     Rules with ``project = True`` implement :meth:`check_project`
     instead: the engine runs them once over the cross-module
     :class:`~repro.lint.index.ProjectIndex` rather than per file, and
-    scopes each *finding* (not each file) through ``default_paths`` and
-    the policy.
+    scopes each *finding* (not each file) by the module it lands in.
     """
 
     code: str = ""
     name: str = ""
     severity: str = "error"
     summary: str = ""
-    #: Repo-relative path prefixes the rule applies to (empty = all).
-    default_paths: tuple[str, ...] = ()
+    #: Dotted module prefixes the rule checks (empty = every module).
+    scope: tuple[str, ...] = ()
     #: True = runs once over the whole-project index (RPL011–RPL013).
     project: bool = False
+
+    def applies_to(self, module: str) -> bool:
+        """Whether ``module`` (``repro.pool.net``) is in this rule's scope."""
+        return not self.scope or any(
+            module == prefix or module.startswith(prefix + ".")
+            for prefix in self.scope
+        )
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
         raise NotImplementedError
@@ -97,21 +104,17 @@ def iter_rules() -> tuple[Rule, ...]:
     return tuple(RULES[code] for code in sorted(RULES))
 
 
-#: Directories whose modules feed deterministic, seed-reproducible output.
-_DETERMINISTIC_PATHS = (
-    "src/repro/kernels/",
-    "src/repro/seqopt/",
-    "src/repro/core/",
-    "src/repro/pool/",
-)
+#: Packages whose modules feed deterministic, seed-reproducible output.
+_DETERMINISTIC = ("repro.kernels", "repro.seqopt", "repro.core", "repro.pool")
 
-#: ``random`` module *global-state* functions (the hidden shared Mersenne
+#: ``random`` module *global-state* draws (the hidden shared Mersenne
 #: Twister).  ``random.Random(seed)`` / ``SystemRandom`` instances are
-#: fine — they carry their own state.
+#: fine — they carry their own state.  ``random.seed`` is absent: global
+#: reseeding is RPL003's finding on every path.
 _RANDOM_GLOBAL_FNS = frozenset({
     "betavariate", "choice", "choices", "expovariate", "gauss",
     "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
-    "randbytes", "randint", "random", "randrange", "sample", "seed",
+    "randbytes", "randint", "random", "randrange", "sample",
     "shuffle", "triangular", "uniform", "vonmisesvariate",
     "weibullvariate",
 })
@@ -140,7 +143,7 @@ class NoGlobalRandomState(Rule):
     name = "no-global-random-state"
     severity = "error"
     summary = "global-state RNG call in a deterministic path"
-    default_paths = _DETERMINISTIC_PATHS
+    scope = _DETERMINISTIC
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(src.tree):
@@ -192,15 +195,14 @@ class NoWallClockInDeterministicPaths(Rule):
 
     A modeled result that embeds ``time.time()`` or ``os.urandom`` output
     is unreproducible by construction.  Measured wall time must come from
-    ``time.perf_counter`` and stay in ``wall_time_s``-style fields;
-    reporting/profiling modules are policy-exempt with a rationale.
+    ``time.perf_counter`` and stay in ``wall_time_s``-style fields.
     """
 
     code = "RPL002"
     name = "no-wall-clock"
     severity = "error"
     summary = "wall-clock or entropy read in a deterministic path"
-    default_paths = _DETERMINISTIC_PATHS + ("src/repro/gpusim/",)
+    scope = _DETERMINISTIC + ("repro.gpusim",)
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(src.tree):
@@ -233,7 +235,7 @@ class SeededGeneratorsOnly(Rule):
     name = "seeded-generators-only"
     severity = "error"
     summary = "unseeded generator construction or global reseeding"
-    default_paths = ()
+    scope = ()
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(src.tree):
@@ -287,7 +289,7 @@ class NoOrderedIterationOverSets(Rule):
     name = "no-ordered-set-iteration"
     severity = "warning"
     summary = "iteration over a set feeding ordered output"
-    default_paths = ()
+    scope = ()
 
     _MESSAGE = (
         "iterating a set in {context} leaks hash order into ordered "
@@ -359,7 +361,7 @@ class SpawnPicklablePoolTasks(Rule):
     name = "spawn-picklable-pool-tasks"
     severity = "error"
     summary = "spawn-unpicklable callable passed as a pool task"
-    default_paths = ()
+    scope = ()
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
         yield from _PoolTaskVisitor(self, src).run()
@@ -459,13 +461,6 @@ def _process_target(node: ast.Call) -> ast.expr | None:
     return None
 
 
-#: Mutating method names on builtin containers.
-_MUTATOR_METHODS = frozenset({
-    "add", "append", "appendleft", "clear", "discard", "extend",
-    "extendleft", "insert", "pop", "popitem", "popleft", "remove",
-    "setdefault", "update",
-})
-
 _MUTABLE_FACTORIES = frozenset(
     {"list", "dict", "set", "defaultdict", "deque", "OrderedDict",
      "Counter"}
@@ -505,15 +500,15 @@ class NoMutableModuleState(Rule):
     state: under ``fork`` each worker inherits a divergent copy, under
     ``spawn`` a fresh one, and the parent never sees either — the classic
     source of "works serially, drifts with --workers N".  Import-time
-    registration patterns that are never touched post-import can be
-    policy-exempted with a rationale.
+    registration that is never touched post-import carries an inline
+    suppression saying so.
     """
 
     code = "RPL006"
     name = "no-mutable-module-state"
     severity = "error"
     summary = "module-level mutable state mutated inside a function"
-    default_paths = _DETERMINISTIC_PATHS + ("src/repro/gpusim/",)
+    scope = _DETERMINISTIC + ("repro.gpusim",)
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
         bindings = _mutable_module_bindings(src.tree)
@@ -537,7 +532,7 @@ class NoMutableModuleState(Rule):
                     and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id in bindings
-                    and node.func.attr in _MUTATOR_METHODS
+                    and node.func.attr in MUTATOR_METHODS
                 ):
                     yield self.finding(
                         src, node,
@@ -580,7 +575,7 @@ class ClassifiedErrorHandling(Rule):
     name = "classified-error-handling"
     severity = "error"
     summary = "unclassifiable error handling in a supervised path"
-    default_paths = ("src/repro/pool/", "src/repro/resilience/")
+    scope = ("repro.pool", "repro.resilience")
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(src.tree):
@@ -650,7 +645,7 @@ class BoundedBlockingCalls(Rule):
     name = "bounded-blocking-calls"
     severity = "warning"
     summary = "unbounded blocking call in a supervised path"
-    default_paths = ("src/repro/pool/", "src/repro/resilience/")
+    scope = ("repro.pool", "repro.resilience")
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(src.tree):
@@ -688,11 +683,7 @@ class BoundedBlockingCalls(Rule):
 
 #: The modules that may touch raw sockets; everything else goes through
 #: the factories these modules export.
-_NET_TRANSPORT_PATHS = (
-    "src/repro/pool/net.py",
-    "src/repro/pool/agent.py",
-    "src/repro/pool/hosts.py",
-)
+_NET_TRANSPORT = ("repro.pool.net", "repro.pool.agent", "repro.pool.hosts")
 
 
 def _settimeout_disarms(node: ast.Call) -> bool:
@@ -722,7 +713,7 @@ class TimeoutBoundedSockets(Rule):
     name = "timeout-bounded-sockets"
     severity = "error"
     summary = "socket without an armed timeout in the net transport"
-    default_paths = _NET_TRANSPORT_PATHS
+    scope = _NET_TRANSPORT
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
         armed_scopes = self._scopes_that_arm(src)
@@ -844,7 +835,7 @@ class DurableStateWrites(Rule):
     name = "durable-state-writes"
     severity = "error"
     summary = "state persisted without the shared durable-write helpers"
-    default_paths = ("src/repro/service/", "src/repro/resilience/")
+    scope = ("repro.service", "repro.resilience")
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(src.tree):

@@ -29,7 +29,6 @@ as ``[solver_for(i).solve(method, **kw) for i in instances]``.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.pool.errors import (
@@ -210,14 +209,3 @@ def solve_many(
     assert len(out) == len(instances)
     return out
 
-
-def batch_wall_time(
-    instances: Sequence[Any],
-    method: str = "parallel_sa",
-    workers: int | None = None,
-    **solve_kwargs: Any,
-) -> tuple[list[BatchItem], float]:
-    """``solve_many`` plus its wall-clock — the benchmark helper."""
-    start = time.perf_counter()
-    items = solve_many(instances, method, workers=workers, **solve_kwargs)
-    return items, time.perf_counter() - start

@@ -8,11 +8,11 @@ cycles spanning two files, and blocking calls reached under a lock.
 
 import ast
 import textwrap
+from pathlib import PurePath
 
 from repro.lint.engine import LintEngine
-from repro.lint.index import ProjectIndex, module_name
-from repro.lint.model import SourceFile
-from repro.lint.policy import Policy
+from repro.lint.index import ProjectIndex
+from repro.lint.model import SourceFile, module_name
 
 #: Paths inside the concurrency rules' default scope.
 SERVICE_PATH = "src/repro/service/fixture.py"
@@ -20,7 +20,7 @@ POOL_PATH = "src/repro/pool/fixture.py"
 
 
 def lint(code, path=SERVICE_PATH):
-    engine = LintEngine(policy=Policy())
+    engine = LintEngine()
     return engine.lint_source(textwrap.dedent(code), path)
 
 
@@ -38,11 +38,15 @@ def build_index(**modules):
 
 
 class TestProjectIndex:
-    def test_module_name_strips_src_prefix(self):
-        assert module_name("src/repro/service/api.py") == (
-            "repro.service.api"
+    def test_module_name_comes_from_file_location(self):
+        # The path below the innermost `src` directory, wherever the
+        # checkout sits; a package's __init__ names the package.
+        for location in ("src/repro/service/api.py",
+                         "/any/where/src/repro/service/api.py"):
+            assert module_name(PurePath(location)) == "repro.service.api"
+        assert module_name(PurePath("/co/src/repro/pool/__init__.py")) == (
+            "repro.pool"
         )
-        assert module_name("tools/gen.py") == "tools.gen"
 
     def test_lock_attrs_and_constructor_types(self):
         index = build_index(**{SERVICE_PATH: """
@@ -396,7 +400,7 @@ class TestRPL012LockOrder:
         pkg.mkdir(parents=True)
         (pkg / "apifix.py").write_text(api)
         (pkg / "regfix.py").write_text(reg)
-        engine = LintEngine(policy=Policy(), root=tmp_path)
+        engine = LintEngine(root=tmp_path)
         result = engine.lint_paths([tmp_path / "src"])
         assert codes(result.findings) == ["RPL012"]
         message = result.findings[0].message

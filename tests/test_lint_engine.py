@@ -1,13 +1,13 @@
-"""Engine behavior: suppressions (with audit), policy scoping, selection,
-parse-error handling, and output stability."""
+"""Engine behavior: suppressions (with audit), rule scoping by module,
+selection, parse-error handling, and output stability."""
 
 import textwrap
 
 import pytest
 
-from repro.lint.engine import LintEngine
-from repro.lint.policy import Policy, PolicyError, path_matches
-from repro.lint.suppress import scan_suppressions
+from repro.lint.engine import LintEngine, UsageError
+from repro.lint.model import scan_directives
+from repro.lint.rules import RULES
 
 CORE_PATH = "src/repro/core/fixture.py"
 
@@ -19,8 +19,7 @@ def perturb(seq):
 
 
 def lint(code, path=CORE_PATH, **engine_kwargs):
-    engine = LintEngine(policy=engine_kwargs.pop("policy", Policy()),
-                        **engine_kwargs)
+    engine = LintEngine(**engine_kwargs)
     return engine.lint_source(textwrap.dedent(code), path)
 
 
@@ -88,11 +87,10 @@ class TestSuppressions:
         assert findings == []
 
     def test_directive_inside_string_is_not_a_suppression(self):
-        table = scan_suppressions(
-            'text = "# repro-lint: disable=RPL001 -- not a comment"\n',
-            "f.py",
+        directives = scan_directives(
+            'text = "# repro-lint: disable=RPL001 -- not a comment"\n'
         )
-        assert table == {}
+        assert directives.disable == {}
 
     def test_meta_code_cannot_be_suppressed(self):
         findings = lint(
@@ -105,60 +103,25 @@ class TestSuppressions:
         assert "meta code" in findings[0].message
 
 
-class TestPolicyScoping:
-    def test_rule_exclude_requires_reason(self):
-        with pytest.raises(PolicyError, match="requires a non-empty `reason`"):
-            Policy.from_table(
-                {"rules": {"RPL001": {"exclude": ["src/repro/core/"]}}}
-            )
+class TestRuleScoping:
+    def test_scope_matches_module_prefix_and_exact(self):
+        pool_rule, net_rule = RULES["RPL007"], RULES["RPL009"]
+        assert pool_rule.applies_to("repro.pool.executor")
+        assert pool_rule.applies_to("repro.pool")
+        assert not pool_rule.applies_to("repro.pooling")
+        assert net_rule.applies_to("repro.pool.net")
+        assert not net_rule.applies_to("repro.pool.executor")
+        assert RULES["RPL003"].applies_to("anything.at.all")
 
-    def test_exclude_with_reason_exempts_path(self):
-        policy = Policy.from_table({
-            "rules": {"RPL001": {
-                "exclude": ["src/repro/core/fixture.py"],
-                "reason": "fixture exercises the legacy API deliberately",
-            }},
-        })
-        assert lint(VIOLATION, policy=policy) == []
-        # ...but only that path: a sibling is still checked.
-        other = lint(VIOLATION, path="src/repro/core/other.py",
-                     policy=policy)
-        assert [f.code for f in other] == ["RPL001"]
-
-    def test_include_overrides_default_scope(self):
-        policy = Policy.from_table({
-            "rules": {"RPL001": {"include": ["src/repro/experiments/"]}},
-        })
-        # Default scope no longer applies...
-        assert lint(VIOLATION, policy=policy) == []
-        # ...the policy scope does.
-        widened = lint(VIOLATION, path="src/repro/experiments/fixture.py",
-                       policy=policy)
-        assert [f.code for f in widened] == ["RPL001"]
-
-    def test_global_exclude_skips_every_rule(self):
-        policy = Policy.from_table({"exclude": ["src/repro/core/"]})
-        assert lint(VIOLATION, policy=policy) == []
-
-    def test_policy_ignore_and_select(self):
-        assert lint(VIOLATION,
-                    policy=Policy.from_table({"ignore": ["RPL001"]})) == []
-        assert lint(VIOLATION,
-                    policy=Policy.from_table({"select": ["RPL002"]})) == []
-
-    def test_unknown_policy_key_rejected(self):
-        with pytest.raises(PolicyError, match="unknown key"):
-            Policy.from_table({"surprise": True})
-
-    def test_unknown_rule_code_rejected_at_engine_construction(self):
-        with pytest.raises(PolicyError, match="unknown rule code"):
-            LintEngine(policy=Policy.from_table({"ignore": ["RPL0XX"]}))
-
-    def test_path_matches_prefix_and_exact(self):
-        assert path_matches("src/repro/pool/executor.py", "src/repro/pool/")
-        assert path_matches("src/repro/cli.py", "src/repro/cli.py")
-        assert not path_matches("src/repro/pooling.py", "src/repro/pool")
-        assert not path_matches("src/repro/cli.py", "")
+    def test_out_of_src_package_named_by_init_chain(self, tmp_path):
+        pkg = tmp_path / "tools" / "repro" / "core"
+        pkg.mkdir(parents=True)
+        for d in (pkg.parent, pkg):
+            (d / "__init__.py").write_text("")
+        (pkg / "fixture.py").write_text(textwrap.dedent(VIOLATION))
+        result = LintEngine(root=tmp_path).lint_paths([tmp_path / "tools"])
+        assert [f.code for f in result.findings] == ["RPL001"]
+        assert result.findings[0].path == "tools/repro/core/fixture.py"
 
 
 class TestEngineSelection:
@@ -172,7 +135,7 @@ class TestEngineSelection:
         assert lint(VIOLATION, ignore=["RPL001"]) == []
 
     def test_unknown_cli_code_rejected(self):
-        with pytest.raises(PolicyError, match="unknown rule code"):
+        with pytest.raises(UsageError, match="unknown rule code"):
             LintEngine(select=["RPL314"])
 
     def test_parse_error_becomes_rpl999(self):

@@ -1,13 +1,16 @@
 """Per-rule fixtures for the repro-lint catalog: every RPL rule must
 detect its planted violation and stay silent on the idiomatic fix."""
 
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.lint.engine import LintEngine
-from repro.lint.policy import Policy
 from repro.lint.rules import RULES, iter_rules
+
+LINT_DOC = Path(__file__).resolve().parent.parent / "docs" / "lint.md"
 
 #: A path inside every rule's default scope.
 POOL_PATH = "src/repro/pool/fixture.py"
@@ -16,7 +19,7 @@ GPUSIM_PATH = "src/repro/gpusim/fixture.py"
 
 
 def lint(code, path=CORE_PATH):
-    engine = LintEngine(policy=Policy())
+    engine = LintEngine()
     return engine.lint_source(textwrap.dedent(code), path)
 
 
@@ -43,6 +46,21 @@ class TestCatalog:
         # stays a per-file rule.
         project = sorted(r.code for r in iter_rules() if r.project)
         assert project == ["RPL011", "RPL012", "RPL013"]
+
+    def test_docs_catalog_matches_registry(self):
+        # docs/lint.md carries one `### RPLxxx `name` (severity...`
+        # heading per registered rule, with the registry's name and
+        # severity, and documents no rule the registry lacks.
+        headings = {
+            code: (name, severity)
+            for code, name, severity in re.findall(
+                r"^### (RPL\d{3}) `([a-z-]+)` \((error|warning)",
+                LINT_DOC.read_text(encoding="utf-8"), re.MULTILINE,
+            )
+        }
+        assert headings == {
+            rule.code: (rule.name, rule.severity) for rule in iter_rules()
+        }
 
 
 class TestRPL001GlobalRandomState:
@@ -153,7 +171,11 @@ class TestRPL003SeededGenerators:
         assert codes(findings) == ["RPL003"]
         assert "OS entropy" in findings[0].message
 
-    def test_detects_global_reseeding(self):
+    @pytest.mark.parametrize("path", [
+        "src/repro/analysis/fixture.py",
+        CORE_PATH,  # in RPL001's scope too: reseeding reports once
+    ], ids=["analysis", "core"])
+    def test_detects_global_reseeding(self, path):
         findings = lint(
             """
             import numpy as np
@@ -162,7 +184,7 @@ class TestRPL003SeededGenerators:
                 np.random.seed(seed)
                 random.seed(seed)
             """,
-            path="src/repro/analysis/fixture.py",
+            path=path,
         )
         assert codes(findings) == ["RPL003", "RPL003"]
 

@@ -8,12 +8,16 @@ Also covers the dispatcher shutdown contract: ``stop``/``drain`` never
 hold a lock across ``Thread.join``.
 """
 
+import ast
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.lint import sanitizer
+from repro.lint.index import ProjectIndex
+from repro.lint.model import SourceFile
 from repro.lint.sanitizer import (
     HeldWhileBlockingError,
     LockInversionError,
@@ -181,6 +185,21 @@ class TestInstall:
 
     def test_stdlib_threading_module_is_untouched(self, sanitized):
         assert not isinstance(threading.Lock(), SanitizedLock)
+
+    def test_every_locked_module_is_a_target(self):
+        # A module whose classes build a Lock/RLock/Condition must be in
+        # TARGET_MODULES, or REPRO_TSAN=1 never instruments its locks.
+        src = Path(__file__).resolve().parent.parent / "src"
+        sources = []
+        for path in sorted(src.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            sources.append(SourceFile(text, str(path), ast.parse(text)))
+        locked = {
+            cls.module for cls in ProjectIndex.build(sources).classes
+            if cls.lock_attrs and not cls.module.startswith("repro.lint")
+        }
+        assert locked, "the index found no locked class at all"
+        assert locked <= set(sanitizer.TARGET_MODULES)
 
 
 class TestDispatcherShutdown:
