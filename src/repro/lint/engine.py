@@ -177,8 +177,10 @@ def _apply_suppressions(
     the listed codes *on its own physical line*.  Returns the surviving
     findings plus one ``RPL000`` finding per suppression defect: a code
     that silenced nothing (stale after a refactor), a code no rule
-    defines, a meta code, or a missing ``-- rationale`` — so suppressions
-    can never rot silently.  ``RPL000`` itself is not suppressible.
+    defines, a meta code, a missing or empty ``-- rationale``, or a
+    ``# repro-lint:`` comment that parses as no directive at all — so
+    suppressions can never rot or be mistyped silently.  ``RPL000``
+    itself is not suppressible.
     """
     disable = src.directives.disable
     used: set[tuple[int, str]] = set()
@@ -193,6 +195,11 @@ def _apply_suppressions(
             used.add((supp.line, finding.code))
         else:
             kept.append(finding)
+    problems_at: list[tuple[int, int, str]] = [
+        (line, col, "malformed directive (expected `disable=CODES -- why` "
+         "or `guarded-by=LOCK`)")
+        for line, col in src.directives.malformed.items()
+    ]
     for supp in disable.values():
         problems: list[str] = []
         for code in supp.codes:
@@ -205,18 +212,19 @@ def _apply_suppressions(
                 problems.append(f"{code} matched no finding on this line")
         if supp.reason is None:
             problems.append("missing rationale (append `-- <why>`)")
-        kept.extend(
-            Finding(
-                path=src.path,
-                line=supp.line,
-                col=supp.col,
-                code="RPL000",
-                message=f"suppression defect: {problem}",
-                severity="error",
-                rule="suppression-audit",
-            )
-            for problem in problems
+        problems_at.extend((supp.line, supp.col, p) for p in problems)
+    kept.extend(
+        Finding(
+            path=src.path,
+            line=line,
+            col=col,
+            code="RPL000",
+            message=f"suppression defect: {problem}",
+            severity="error",
+            rule="suppression-audit",
         )
+        for line, col, problem in problems_at
+    )
     return kept
 
 

@@ -37,9 +37,10 @@ MUTATOR_METHODS = frozenset({
     "setdefault", "update",
 })
 
+_DIRECTIVE = re.compile(r"#\s*repro-lint:")
 _DISABLE = re.compile(
     r"#\s*repro-lint:\s*disable=(?P<codes>[A-Za-z0-9,\s]+?)"
-    r"(?:\s+--\s*(?P<reason>\S.*))?$"
+    r"(?:\s+--(?P<reason>.*))?$"
 )
 _GUARDED_BY = re.compile(
     r"#\s*repro-lint:\s*guarded-by=(?P<lock>[A-Za-z_][A-Za-z0-9_]*)"
@@ -95,6 +96,9 @@ class Directives:
     disable: dict[int, Disable]
     #: ``guarded-by=<lock>`` annotations: line -> lock attribute.
     guarded_by: dict[int, str]
+    #: Comments that begin ``# repro-lint:`` but parse as neither
+    #: directive: line -> column.
+    malformed: dict[int, int]
 
 
 def scan_directives(text: str) -> Directives:
@@ -105,7 +109,7 @@ def scan_directives(text: str) -> Directives:
     as a directive.  An unreadable token stream yields no directives —
     the engine reports the parse failure separately.
     """
-    directives = Directives(disable={}, guarded_by={})
+    directives = Directives(disable={}, guarded_by={}, malformed={})
     try:
         comments = [
             tok for tok in tokenize.generate_tokens(
@@ -116,22 +120,25 @@ def scan_directives(text: str) -> Directives:
     except (tokenize.TokenError, IndentationError, SyntaxError):
         return directives
     for tok in comments:
-        line = tok.start[0]
-        match = _DISABLE.search(tok.string)
-        if match is not None:
+        line, col = tok.start[0], tok.start[1] + 1
+        disable = _DISABLE.search(tok.string)
+        if disable is not None:
+            reason = (disable.group("reason") or "").strip()
             directives.disable[line] = Disable(
                 line=line,
-                col=tok.start[1] + 1,
+                col=col,
                 codes=tuple(
                     code.strip().upper()
-                    for code in match.group("codes").split(",")
+                    for code in disable.group("codes").split(",")
                     if code.strip()
                 ),
-                reason=match.group("reason"),
+                reason=reason or None,
             )
-        match = _GUARDED_BY.search(tok.string)
-        if match is not None:
-            directives.guarded_by[line] = match.group("lock")
+        guard = _GUARDED_BY.search(tok.string)
+        if guard is not None:
+            directives.guarded_by[line] = guard.group("lock")
+        if disable is None and guard is None and _DIRECTIVE.match(tok.string):
+            directives.malformed[line] = col
     return directives
 
 

@@ -22,6 +22,14 @@ All batched routines draw per-thread randomness through the counter-based
 device RNG, so results are reproducible and independent of the ensemble
 partitioning -- the property tests check that outputs are always valid
 permutations and that batched and scalar forms agree in distribution.
+
+The batched crossovers are two steps: the cut points are drawn here, then
+a pure row pass builds the children.  The pass runs the compiled O(n)
+program of :mod:`repro.seqopt.compiled` (one row at a time with a "used"
+bitmap, as a CUDA thread would) and falls back to a vectorized NumPy body
+-- its oracle -- only when no compiled build could be loaded.  The pass is
+integer-only and draws nothing, so both paths give the same children and
+leave the RNG in the same state.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.rng import DeviceRNG
+from repro.seqopt import compiled
 
 __all__ = [
     "sample_distinct_positions",
@@ -219,21 +228,16 @@ def _rank_in(x: np.ndarray) -> np.ndarray:
     return rank
 
 
-def batched_one_point_crossover(
-    rng: DeviceRNG,
-    thread_ids: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
+def _one_point_numpy(
+    x: np.ndarray, y: np.ndarray, cut: np.ndarray,
     apply_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Row-wise one-point permutation crossover of ``x`` with ``y``.
+    """NumPy row pass of :func:`batched_one_point_crossover` (the oracle).
 
-    Rows outside ``apply_mask`` pass through unchanged (the ``c1 ⊕ F2``
-    gate).  Fully vectorized: the tail jobs (those not in the inherited
-    prefix) are ordered by their position in ``y`` via a stable argsort.
+    Fully vectorized: the tail jobs (those not in the inherited prefix) are
+    ordered by their position in ``y`` via a stable argsort.
     """
-    s, n = x.shape
-    cut = rng.randint(thread_ids, 1, n) if n > 1 else np.ones(s, dtype=np.int64)
+    n = x.shape[1]
     rank_x = _rank_in(x)
     rank_y = _rank_in(y)
     # Job j is in the head iff its position in x is before the cut.
@@ -249,24 +253,12 @@ def batched_one_point_crossover(
     return child.astype(x.dtype, copy=False)
 
 
-def batched_two_point_crossover(
-    rng: DeviceRNG,
-    thread_ids: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
+def _two_point_numpy(
+    x: np.ndarray, y: np.ndarray, c1: np.ndarray, c2: np.ndarray,
     apply_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Row-wise two-point permutation crossover of ``x`` with ``y``.
-
-    The child keeps ``x``'s segment ``[c1, c2)``; the other positions are
-    filled left-to-right with the missing jobs in ``y`` order (the
-    ``c2 ⊕ F3`` gate applies per row).
-    """
-    s, n = x.shape
-    a = rng.randint(thread_ids, 0, n)
-    b = rng.randint(thread_ids, 0, n)
-    c1 = np.minimum(a, b)
-    c2 = np.maximum(a, b)
+    """NumPy row pass of :func:`batched_two_point_crossover` (the oracle)."""
+    n = x.shape[1]
     rank_x = _rank_in(x)
     rank_y = _rank_in(y)
     in_seg_by_job = (rank_x >= c1[:, None]) & (rank_x < c2[:, None])
@@ -284,3 +276,55 @@ def batched_two_point_crossover(
     if apply_mask is not None:
         child = np.where(apply_mask[:, None], child, x)
     return child.astype(x.dtype, copy=False)
+
+
+def batched_one_point_crossover(
+    rng: DeviceRNG,
+    thread_ids: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    apply_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Row-wise one-point permutation crossover of ``x`` with ``y``.
+
+    Draws one cut in ``1..n-1`` per thread (none when ``n == 1``); row
+    ``s`` of the child is ``x[s, :cut[s]]`` followed by ``y[s]``'s remaining
+    jobs in ``y`` order.  Rows outside ``apply_mask`` pass through
+    unchanged (the ``c1 ⊕ F2`` gate).  The row pass is compiled unless no
+    build loaded; both paths return the same integers in ``x``'s dtype.
+    """
+    s, n = x.shape
+    cut = rng.randint(thread_ids, 1, n) if n > 1 else np.ones(s, dtype=np.int64)
+    lib = compiled.LIB
+    if lib is None:
+        return _one_point_numpy(x, y, cut, apply_mask)
+    lo = np.zeros(s, dtype=np.int64)
+    return compiled.crossover(lib, x, y, lo, cut, apply_mask).astype(
+        x.dtype, copy=False
+    )
+
+
+def batched_two_point_crossover(
+    rng: DeviceRNG,
+    thread_ids: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    apply_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Row-wise two-point permutation crossover of ``x`` with ``y``.
+
+    Draws two points in ``0..n-1`` per thread; on ``[min, max)`` the child
+    keeps ``x``'s segment and the other positions are filled left-to-right
+    with the missing jobs in ``y`` order (the ``c2 ⊕ F3`` gate applies per
+    row).  Compiled or NumPy, as :func:`batched_one_point_crossover`.
+    """
+    n = x.shape[1]
+    a = rng.randint(thread_ids, 0, n)
+    b = rng.randint(thread_ids, 0, n)
+    c1, c2 = np.minimum(a, b), np.maximum(a, b)
+    lib = compiled.LIB
+    if lib is None:
+        return _two_point_numpy(x, y, c1, c2, apply_mask)
+    return compiled.crossover(lib, x, y, c1, c2, apply_mask).astype(
+        x.dtype, copy=False
+    )

@@ -11,8 +11,9 @@ Three API levels are provided:
 * ``evaluate_*(seqs, <per-job arrays>, due_date)`` -- evaluate an int32
   sequence matrix against the ungathered per-job arrays; this is what the
   fitness kernel calls.  It runs the compiled per-row program of
-  :mod:`repro.seqopt.compiled` (``_fitness.c``) and falls back to the NumPy
-  reference below only when no compiled build could be loaded.
+  :mod:`repro.seqopt.compiled` (``_fitness.c``, the library that also holds
+  the DPSO crossover passes of :mod:`repro.permutation`) and falls back to
+  the NumPy reference below only when no compiled build could be loaded.
 * ``*_from_gathered(...)`` -- the NumPy reference: whole-array passes over
   already-gathered sequence-ordered arrays.  It also serves the
   ``return_completions``/``return_details`` callers.
@@ -55,23 +56,6 @@ __all__ = [
 ]
 
 
-def _check_range(seqs: np.ndarray, n: int) -> None:
-    if seqs.size and (seqs.min() < 0 or seqs.max() >= n):
-        raise IndexError(f"job index outside [0, {n}) in the sequence matrix")
-
-
-def _index_matrix(sequences: np.ndarray, n: int) -> np.ndarray:
-    """``sequences`` as a validated, C-contiguous int32 ``(S, n)`` matrix."""
-    seqs = np.asarray(sequences)
-    if seqs.ndim != 2 or seqs.shape[1] != n:
-        raise ValueError(f"sequences must have shape (S, {n}), got {seqs.shape}")
-    if seqs.dtype.kind not in "iu":
-        raise IndexError(f"job indices must be integers, got {seqs.dtype}")
-    if seqs.dtype != np.int32:
-        _check_range(seqs, n)  # before narrowing, so no index can wrap
-    return np.ascontiguousarray(seqs, dtype=np.int32)
-
-
 def evaluate_cdd(
     seqs: np.ndarray,
     p: np.ndarray,
@@ -87,7 +71,7 @@ def evaluate_cdd(
     lib = compiled.LIB
     if lib is not None:
         return compiled.cdd_objective(lib, seqs, p, a, b, due_date)
-    _check_range(seqs, p.size)
+    compiled.check_range(seqs, p.size)
     return batched_cdd_from_gathered(p[seqs], a[seqs], b[seqs], due_date)
 
 
@@ -104,7 +88,7 @@ def evaluate_ucddcp(
     lib = compiled.LIB
     if lib is not None:
         return compiled.ucddcp_objective(lib, seqs, p, m, a, b, g, due_date)
-    _check_range(seqs, p.size)
+    compiled.check_range(seqs, p.size)
     return batched_ucddcp_from_gathered(
         p[seqs], m[seqs], a[seqs], b[seqs], g[seqs], due_date
     )
@@ -186,7 +170,7 @@ def batched_cdd_objective(
     Any integer dtype and memory layout is accepted (cast to C-contiguous
     int32); a job index outside ``[0, n)`` raises :class:`IndexError`.
     """
-    seqs = _index_matrix(sequences, instance.n)
+    seqs = compiled.index_matrix(sequences, instance.n)
     return evaluate_cdd(
         seqs, instance.processing, instance.alpha, instance.beta,
         instance.due_date,
@@ -263,7 +247,7 @@ def batched_ucddcp_objective(
 
     Same input contract as :func:`batched_cdd_objective`.
     """
-    seqs = _index_matrix(sequences, instance.n)
+    seqs = compiled.index_matrix(sequences, instance.n)
     return evaluate_ucddcp(
         seqs, instance.processing, instance.min_processing, instance.alpha,
         instance.beta, instance.gamma, instance.due_date,

@@ -1,9 +1,17 @@
-"""Build, cache and load the compiled fitness evaluator (``_fitness.c``).
+"""Build, cache and load the compiled kernel bodies (``_fitness.c``).
 
-The C source holds the per-thread fitness program of the paper's kernel:
-one O(n) pass per sequence, reading the int32 sequence matrix and the
-per-job arrays directly.  This module compiles it once with the system C
-compiler and loads it through :mod:`ctypes`:
+The C source holds two per-thread programs of the paper's kernels, each
+one O(n) pass per row of an int32 ``(S, n)`` matrix:
+
+* the fitness program: the optimal CDD/UCDDCP objective of a sequence,
+  reading the per-job arrays directly (:func:`cdd_objective`,
+  :func:`ucddcp_objective`);
+* the DPSO update's permutation crossovers F2 and F3 as one pass with an
+  n-byte "used" bitmap (:func:`crossover`; F2 keeps the segment from 0).
+  It is a pure integer pass over cuts and gates drawn by the caller.
+
+This module compiles the source once with the system C compiler and loads
+it through :mod:`ctypes`:
 
 * flags are fixed (:data:`FLAGS`): ``-O2 -shared -fPIC -ffp-contract=off``
   -- no ``-ffast-math`` or ``-march=native``, so every ISA computes the
@@ -14,11 +22,14 @@ compiler and loads it through :mod:`ctypes`:
 * a build writes to a temp name and ``os.replace``-s it into place, so
   concurrent first builds are safe;
 * :data:`LIB` is loaded at import, so forked workers inherit the mapping
-  and only the first interpreter ever pays the compile.
+  and only the first interpreter ever pays the compile;
+* every symbol is bound at load or none is: a build that lacks one is
+  treated as no build.
 
 :data:`LIB` is ``None`` when no compiler is found or the build fails;
-:mod:`repro.seqopt.batched` then runs its NumPy reference instead.  That is
-the only selection, and it is made from what this module observes.
+:mod:`repro.seqopt.batched` and :mod:`repro.permutation` then run their
+NumPy references instead.  That is the only selection, and it is made from
+what this module observes.
 """
 
 from __future__ import annotations
@@ -40,7 +51,10 @@ __all__ = [
     "SOURCE",
     "cache_dirs",
     "cdd_objective",
+    "check_range",
+    "crossover",
     "find_compiler",
+    "index_matrix",
     "load",
     "ucddcp_objective",
 ]
@@ -49,9 +63,13 @@ SOURCE = Path(__file__).with_name("_fitness.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _BUILD_TIMEOUT_S = 120.0
 _BAD_INDEX = 1
+_NOT_PERMUTATION = 3
+_BAD_CUT = 4
 
 _I32P = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _F64P = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_I64P = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_U8P = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
 _SIZE = ctypes.c_ssize_t
 
 
@@ -121,13 +139,15 @@ def _open(path: Path) -> ctypes.CDLL | None:
     try:
         lib = ctypes.CDLL(str(path))
         cdd, ucddcp = lib.cdd_objective, lib.ucddcp_objective
+        cross = lib.crossover
     except (OSError, AttributeError):
         return None
-    cdd.restype = ucddcp.restype = ctypes.c_int
+    cdd.restype = ucddcp.restype = cross.restype = ctypes.c_int
     cdd.argtypes = [_I32P, _SIZE, _SIZE, _F64P, _F64P, _F64P,
                     ctypes.c_double, _F64P]
     ucddcp.argtypes = [_I32P, _SIZE, _SIZE, _F64P, _F64P, _F64P, _F64P,
                        _F64P, ctypes.c_double, _F64P]
+    cross.argtypes = [_I32P, _I32P, _I64P, _I64P, _U8P, _SIZE, _SIZE, _I32P]
     return lib
 
 
@@ -159,16 +179,38 @@ def load(dirs: Iterable[Path] | None = None) -> ctypes.CDLL | None:
     return None
 
 
-#: The compiled evaluator, or ``None`` when it could not be built.
+#: The compiled library, or ``None`` when it could not be built.
 LIB = load()
 
 
-def _check(rc: int, seqs: np.ndarray) -> None:
-    if rc == _BAD_INDEX:
-        n = seqs.shape[1]
+def check_range(seqs: np.ndarray, n: int) -> None:
+    """Raise :class:`IndexError` for a job index outside ``[0, n)``."""
+    if seqs.size and (seqs.min() < 0 or seqs.max() >= n):
         raise IndexError(f"job index outside [0, {n}) in the sequence matrix")
+
+
+def index_matrix(sequences: np.ndarray, n: int) -> np.ndarray:
+    """``sequences`` as a validated, C-contiguous int32 ``(S, n)`` matrix."""
+    seqs = np.asarray(sequences)
+    if seqs.ndim != 2 or seqs.shape[1] != n:
+        raise ValueError(f"sequences must have shape (S, {n}), got {seqs.shape}")
+    if seqs.dtype.kind not in "iu":
+        raise IndexError(f"job indices must be integers, got {seqs.dtype}")
+    if seqs.dtype != np.int32:
+        check_range(seqs, n)  # before narrowing, so no index can wrap
+    return np.ascontiguousarray(seqs, dtype=np.int32)
+
+
+def _check(rc: int, seqs: np.ndarray) -> None:
+    n = seqs.shape[1]
+    if rc == _BAD_INDEX:
+        raise IndexError(f"job index outside [0, {n}) in the sequence matrix")
+    if rc == _NOT_PERMUTATION:
+        raise ValueError("a crossover parent row repeats a job")
+    if rc == _BAD_CUT:
+        raise ValueError(f"crossover cut outside 0 <= c1 <= c2 <= {n}")
     if rc != 0:
-        raise MemoryError("compiled fitness evaluator could not allocate")
+        raise MemoryError("compiled kernel body could not allocate")
 
 
 def _output(seqs: np.ndarray, per_job: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -197,4 +239,34 @@ def ucddcp_objective(lib: ctypes.CDLL, seqs: np.ndarray, p: np.ndarray,
     s, n = seqs.shape
     rc = lib.ucddcp_objective(seqs, s, n, p, m, a, b, g, float(due_date), out)
     _check(rc, seqs)
+    return out
+
+
+def crossover(lib: ctypes.CDLL, x: np.ndarray, y: np.ndarray,
+              lo: np.ndarray, hi: np.ndarray,
+              mask: np.ndarray | None = None) -> np.ndarray:
+    """F2/F3 on every row: ``x[lo:hi]`` in place, y's other jobs around it.
+
+    The other positions are filled left to right with y's remaining jobs
+    in y order; F2 (one-point) is ``lo = 0``.  Rows where ``mask`` is false
+    copy ``x``.  Checks the shapes the C loop trusts; returns an int32
+    matrix.
+    """
+    s, n = x.shape
+    if y.shape != (s, n):
+        raise ValueError(f"y must have shape {(s, n)}, got {y.shape}")
+    if lo.shape != (s,) or hi.shape != (s,):
+        raise ValueError(f"cuts must have shape ({s},)")
+    if mask is None:
+        gate = np.ones(s, dtype=np.uint8)
+    elif mask.shape != (s,):
+        raise ValueError(f"mask must have shape ({s},)")
+    else:
+        gate = np.ascontiguousarray(mask, dtype=bool).view(np.uint8)
+    out = np.empty((s, n), dtype=np.int32)
+    rc = lib.crossover(index_matrix(x, n), index_matrix(y, n),
+                       np.ascontiguousarray(lo, dtype=np.int64),
+                       np.ascontiguousarray(hi, dtype=np.int64),
+                       gate, s, n, out)
+    _check(rc, x)
     return out

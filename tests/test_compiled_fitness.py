@@ -56,10 +56,16 @@ def _solves() -> list[str]:
     ucddcp = UCDDCPSolver(ucddcp_instance(30, 1))
     kw = dict(iterations=40, grid_size=2, block_size=32, seed=7,
               backend="vectorized")
+    # parallel_dpso under every social attractor: the update kernel's
+    # crossovers run compiled too.
+    runs = [("parallel_sa", {})] + [
+        ("parallel_dpso", {"coupling": coupling})
+        for coupling in ("async", "ring", "coupled")
+    ]
     return [
-        _result_bytes(solver.solve(method, **kw))
+        _result_bytes(solver.solve(method, **kw, **extra))
         for solver in (cdd, ucddcp)
-        for method in ("parallel_sa", "parallel_dpso")
+        for method, extra in runs
     ]
 
 
@@ -106,6 +112,22 @@ class TestLoader:
         assert compiled.load() is not None
         assert list(package.iterdir()) == []
         assert [p.suffix for p in fallback.iterdir()] == [".so"]
+
+    @needs_compiler
+    def test_build_lacking_a_symbol_is_no_build(self, tmp_path):
+        # A library with the fitness passes but not the crossovers.
+        source = tmp_path / "partial.c"
+        source.write_text(
+            "int cdd_objective(void) { return 0; }\n"
+            "int ucddcp_objective(void) { return 0; }\n"
+        )
+        target = tmp_path / "partial.so"
+        subprocess.run(
+            [compiled.find_compiler(), *compiled.FLAGS, "-o", str(target),
+             str(source)],
+            check=True, capture_output=True,
+        )
+        assert compiled._open(target) is None
 
     def test_world_writable_dir_is_refused(self, tmp_path):
         shared = tmp_path / "shared"

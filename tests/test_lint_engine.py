@@ -45,6 +45,37 @@ class TestSuppressions:
         assert [f.code for f in findings] == ["RPL000"]
         assert "missing rationale" in findings[0].message
 
+    @pytest.mark.parametrize("tail", [" --", " --   ", " -- \t"])
+    def test_empty_rationale_is_missing_rationale(self, tail):
+        findings = lint(
+            "import random\n"
+            "def perturb(seq):\n"
+            f"    random.shuffle(seq)  # repro-lint: disable=RPL001{tail}\n"
+        )
+        assert [f.code for f in findings] == ["RPL000"]
+        assert "missing rationale" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "comment",
+        [
+            "# repro-lint: disable=RPL001 - one dash is not a separator",
+            "# repro-lint: disable=RPL001-- no space before the dashes",
+            "# repro-lint: disable RPL001 -- no equals sign",
+            "# repro-lint: guarded-by=",
+            "#repro-lint:",
+        ],
+    )
+    def test_unparsed_directive_is_audited(self, comment):
+        findings = lint(
+            "import random\n"
+            "def perturb(seq):\n"
+            f"    random.shuffle(seq)  {comment}\n"
+        )
+        assert sorted(f.code for f in findings) == ["RPL000", "RPL001"]
+        (audit,) = [f for f in findings if f.code == "RPL000"]
+        assert "malformed directive" in audit.message
+        assert (audit.line, audit.col) == (3, 26)
+
     def test_unused_suppression_is_audited(self):
         findings = lint(
             """

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro import permutation
 from repro.gpusim.rng import DeviceRNG
 from repro.permutation import (
     batched_one_point_crossover,
@@ -18,6 +19,7 @@ from repro.permutation import (
     sample_distinct_positions,
     two_point_crossover,
 )
+from repro.seqopt import compiled
 
 
 def is_perm(arr: np.ndarray) -> bool:
@@ -225,3 +227,149 @@ class TestBatchedSwapAndCrossovers:
         y = np.array([[1, 0], [0, 1]])
         out = batched_one_point_crossover(drng, np.arange(2), x, y)
         assert np.array_equal(out, x)
+
+
+needs_lib = pytest.mark.skipif(
+    compiled.LIB is None, reason="no compiled build on this host"
+)
+
+_MASKS = ("none", "false", "true", "random")
+_PARENTS = ("other", "same", "broadcast")
+
+
+def _parents(s, n, seed, mask_kind, parent):
+    """int32 parents ``x``/``y`` and a gate of the named kinds."""
+    rng = np.random.default_rng(seed)
+    x = np.argsort(rng.random((s, n)), axis=1).astype(np.int32)
+    if parent == "same":
+        y = x
+    elif parent == "broadcast":  # the read-only gbest of coupling="coupled"
+        y = np.broadcast_to(rng.permutation(n).astype(np.int32), (s, n))
+    else:
+        y = np.argsort(rng.random((s, n)), axis=1).astype(np.int32)
+    mask = {
+        "none": None,
+        "false": np.zeros(s, dtype=bool),
+        "true": np.ones(s, dtype=bool),
+        "random": rng.random(s) < 0.5,
+    }[mask_kind]
+    return rng, x, y, mask
+
+
+@needs_lib
+class TestCompiledCrossoverOracle:
+    """The compiled row passes equal their NumPy bodies with ``==``."""
+
+    @given(
+        s=st.integers(1, 64), n=st.integers(1, 1000),
+        seed=st.integers(0, 2**32 - 1), mask_kind=st.sampled_from(_MASKS),
+        parent=st.sampled_from(_PARENTS),
+        cut_kind=st.sampled_from(("random", "one", "last")),
+    )
+    @example(s=1, n=1, seed=0, mask_kind="none", parent="other",
+             cut_kind="random")
+    @example(s=64, n=1000, seed=1, mask_kind="random", parent="broadcast",
+             cut_kind="last")
+    def test_one_point(self, s, n, seed, mask_kind, parent, cut_kind):
+        rng, x, y, mask = _parents(s, n, seed, mask_kind, parent)
+        cut = {
+            "random": rng.integers(0, n + 1, s),
+            "one": np.full(s, min(1, n)),
+            "last": np.full(s, n - 1),
+        }[cut_kind]
+        ref = permutation._one_point_numpy(x, y, cut, mask)
+        out = compiled.crossover(compiled.LIB, x, y, 0 * cut, cut, mask)
+        assert out.dtype == ref.dtype and np.array_equal(out, ref)
+
+    @given(
+        s=st.integers(1, 64), n=st.integers(1, 1000),
+        seed=st.integers(0, 2**32 - 1), mask_kind=st.sampled_from(_MASKS),
+        parent=st.sampled_from(_PARENTS),
+        cut_kind=st.sampled_from(("random", "empty", "from0", "to_last")),
+    )
+    @example(s=1, n=1, seed=0, mask_kind="none", parent="other",
+             cut_kind="empty")
+    @example(s=64, n=1000, seed=2, mask_kind="true", parent="same",
+             cut_kind="random")
+    def test_two_point(self, s, n, seed, mask_kind, parent, cut_kind):
+        rng, x, y, mask = _parents(s, n, seed, mask_kind, parent)
+        a, b = rng.integers(0, n + 1, s), rng.integers(0, n + 1, s)
+        c1, c2 = np.minimum(a, b), np.maximum(a, b)
+        if cut_kind == "empty":
+            c2 = c1
+        elif cut_kind == "from0":
+            c1 = np.zeros(s, dtype=np.int64)
+        elif cut_kind == "to_last":
+            c1, c2 = np.minimum(c1, n - 1), np.full(s, n - 1)
+        ref = permutation._two_point_numpy(x, y, c1, c2, mask)
+        out = compiled.crossover(compiled.LIB, x, y, c1, c2, mask)
+        assert out.dtype == ref.dtype and np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 100])
+    @pytest.mark.parametrize(
+        "op", [batched_one_point_crossover, batched_two_point_crossover]
+    )
+    def test_public_operators_draw_the_same(self, monkeypatch, op, n):
+        x = random_perm_matrix(40, n, n)
+        y = random_perm_matrix(40, n, n + 1)
+        mask = np.arange(40) % 3 != 0
+
+        def run():
+            drng = DeviceRNG(11)
+            return op(drng, np.arange(40), x, y, mask), drng.counter
+
+        with_c = run()
+        monkeypatch.setattr(compiled, "LIB", None)
+        with_numpy = run()
+        assert with_c[1] == with_numpy[1]
+        assert with_c[0].dtype == with_numpy[0].dtype == x.dtype
+        assert np.array_equal(with_c[0], with_numpy[0])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("where", ["head", "tail", "masked"])
+    def test_index_outside_range_raises(self, dtype, where):
+        x = random_perm_matrix(3, 6, 0).astype(dtype)
+        y = random_perm_matrix(3, 6, 1).astype(dtype)
+        mask = np.ones(3, dtype=bool)
+        if where == "head":
+            x[1, 0] = 6
+        elif where == "tail":
+            y[2, 4] = -1
+        else:
+            x[0, 5], mask[0] = 7, False
+        cut = np.full(3, 2)
+        with pytest.raises(IndexError):
+            compiled.crossover(compiled.LIB, x, y, cut - 2, cut, mask)
+
+    def test_cut_outside_row_raises(self):
+        x = random_perm_matrix(2, 5, 0).astype(np.int32)
+        with pytest.raises(ValueError):  # hi past the row
+            compiled.crossover(compiled.LIB, x, x, np.array([0, 0]),
+                               np.array([2, 6]))
+        with pytest.raises(ValueError):  # lo after hi
+            compiled.crossover(compiled.LIB, x, x, np.array([3, 0]),
+                               np.array([2, 1]))
+        with pytest.raises(ValueError):  # lo before the row
+            compiled.crossover(compiled.LIB, x, x, np.array([0, -1]),
+                               np.array([2, 1]))
+
+    @pytest.mark.parametrize(
+        "x_row, y_row",
+        [
+            ([0, 0, 2, 3, 4], [4, 3, 2, 1, 0]),  # repeated job in the kept part
+            ([0, 1, 2, 3, 4], [0, 1, 1, 3, 4]),  # y lacks a job the fill needs
+        ],
+    )
+    def test_repeated_job_raises_and_stays_in_bounds(self, x_row, y_row):
+        s, n, pad = 3, 5, 16
+        x = np.tile(np.array(x_row, dtype=np.int32), (s, 1))
+        y = np.tile(np.array(y_row, dtype=np.int32), (s, 1))
+        cut = np.full(s, 2, dtype=np.int64)
+        with pytest.raises(ValueError):
+            compiled.crossover(compiled.LIB, x, y, cut * 0, cut)
+        # The raw pass, into a row block fenced by sentinels.
+        buf = np.full(s * n + 2 * pad, -7, dtype=np.int32)
+        out = buf[pad:pad + s * n].reshape(s, n)
+        gate = np.ones(s, dtype=np.uint8)
+        assert compiled.LIB.crossover(x, y, cut * 0, cut, gate, s, n, out) == 3
+        assert np.all(buf[:pad] == -7) and np.all(buf[pad + s * n:] == -7)
