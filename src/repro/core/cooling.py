@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.permutation import random_permutations
 from repro.problems.cdd import CDDInstance
 from repro.problems.ucddcp import UCDDCPInstance
 
@@ -20,6 +21,9 @@ __all__ = ["ExponentialCooling", "estimate_initial_temperature"]
 
 DEFAULT_COOLING_RATE = 0.88
 DEFAULT_T0_SAMPLES = 5000
+#: Rows drawn and scored at a time by :func:`estimate_initial_temperature`
+#: (4 MB of keys at n = 1000).
+T0_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,14 @@ def estimate_initial_temperature(
 ) -> float:
     """Standard deviation of the fitness of ``samples`` random sequences.
 
-    Evaluated with the batched O(n) optimizers, so the estimate costs one
-    vectorized pass.  A zero spread (e.g. ``n == 1``) returns 0.0, which the
-    acceptance rule treats as greedy descent.
+    The sequences are drawn and scored streamed in chunks of at most
+    :data:`T0_CHUNK_ROWS` rows (:func:`repro.permutation.random_permutations`,
+    then the batched O(n) optimizers), so the transient memory does not
+    grow with ``samples``.  Chunked draws give the same floats as one
+    ``(samples, n)`` draw and leave ``rng`` in the same state, so the
+    estimate does not depend on the chunk size.  A zero spread (e.g.
+    ``n == 1``) returns 0.0, which the acceptance rule treats as greedy
+    descent.
     """
     # Imported lazily: the adapter layer sits above this shared utility.
     from repro.core.engine.adapters import adapter_for
@@ -63,5 +72,10 @@ def estimate_initial_temperature(
     if samples < 2:
         raise ValueError("need at least 2 samples to estimate a deviation")
     gen = rng if rng is not None else np.random.default_rng(0)
-    seqs = np.argsort(gen.random((samples, instance.n)), axis=1)
-    return float(np.std(adapter_for(instance).batched_objective(seqs)))
+    objective = adapter_for(instance).batched_objective
+    fitness = np.empty(samples, dtype=np.float64)
+    for lo in range(0, samples, T0_CHUNK_ROWS):
+        hi = min(lo + T0_CHUNK_ROWS, samples)
+        seqs = random_permutations(gen, hi - lo, instance.n)
+        fitness[lo:hi] = objective(seqs)
+    return float(np.std(fitness))

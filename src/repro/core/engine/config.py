@@ -9,6 +9,8 @@ of the public contract (tests match on them), so keep the wording stable.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import warnings
 from typing import TYPE_CHECKING
@@ -26,6 +28,7 @@ __all__ = [
     "check_position_refresh",
     "check_init_policy",
     "check_probabilities",
+    "check_start_temperature",
     "check_choice",
     "check_retries",
     "check_timeout",
@@ -76,6 +79,26 @@ def check_probabilities(config: object, *names: str) -> None:
         v = getattr(config, name)
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1], got {v}")
+
+
+def check_start_temperature(
+    t0: float | None, samples: int, label: str = "t0"
+) -> None:
+    """A start temperature is given finite and >= 0, or estimated.
+
+    0 is legal: it means greedy descent.  The estimate (the standard
+    deviation of ``samples`` random sequences' fitness) needs an integer
+    sample count of at least 2; it is checked even when ``t0`` is given,
+    so a configuration is valid or not whatever the other field holds.
+    """
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError(
+            f"{label}_samples must be an integer >= 2, got {samples!r}"
+        )
+    if t0 is None:
+        return
+    if not (isinstance(t0, numbers.Real) and math.isfinite(t0) and t0 >= 0):
+        raise ValueError(f"{label} must be finite and >= 0, got {t0!r}")
 
 
 def check_choice(label: str, value: str, allowed: tuple[str, ...]) -> None:

@@ -365,7 +365,7 @@ def run_ensemble(
     )
     init_seqs = initial_population(
         instance, config.population, host_rng, config.init
-    ).astype(np.int32)
+    ).astype(np.int32, copy=False)
     init_seqs = strategy.prepare_population(init_seqs)
     shards = placement.run_shards(instance, strategy, adapter, plan, init_seqs)
 

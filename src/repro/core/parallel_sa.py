@@ -56,6 +56,7 @@ from repro.core.engine.config import (
     NeighborhoodConfigMixin,
     check_choice,
     check_init_policy,
+    check_start_temperature,
 )
 from repro.core.engine.driver import EnsembleStrategy, run_ensemble
 from repro.core.results import SolveResult
@@ -122,6 +123,7 @@ class ParallelSAConfig(
         if self.sync_segment_length < 1:
             raise ValueError("sync_segment_length must be positive")
         check_init_policy(self.init)
+        check_start_temperature(self.t0, self.t0_samples)
 
 
 def _make_broadcast_kernel() -> Kernel:

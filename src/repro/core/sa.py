@@ -31,6 +31,7 @@ from repro.core.engine.config import (
     check_choice,
     check_init_policy,
     check_positive_iterations,
+    check_start_temperature,
 )
 from repro.core.engine.driver import assemble_result
 from repro.core.results import SolveResult
@@ -62,6 +63,7 @@ class SerialSAConfig(NeighborhoodConfigMixin):
         self._check_neighborhood()
         check_choice("backend", self.backend, ("numpy", "python"))
         check_init_policy(self.init)
+        check_start_temperature(self.t0, self.t0_samples)
 
 
 def sa_serial(

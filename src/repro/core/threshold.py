@@ -37,6 +37,7 @@ from repro.core.engine.config import (
     NeighborhoodConfigMixin,
     check_init_policy,
     check_positive_iterations,
+    check_start_temperature,
 )
 from repro.core.engine.driver import assemble_result
 from repro.core.results import SolveResult
@@ -71,6 +72,7 @@ class ThresholdAcceptingConfig(NeighborhoodConfigMixin):
             raise ValueError("decay must lie in (0, 1)")
         self._check_neighborhood()
         check_init_policy(self.init)
+        check_start_temperature(self.theta0, self.theta0_samples, "theta0")
         if self.walkers < 1:
             raise ValueError(f"walkers must be >= 1, got {self.walkers}")
 

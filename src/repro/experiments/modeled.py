@@ -16,6 +16,7 @@ from repro.gpusim.device import Device
 from repro.gpusim.launch import Occupancy, linear_config, occupancy
 from repro.gpusim.profiles import DEFAULT_PROFILE, get_profile
 from repro.kernels.data import DeviceProblemData
+from repro.permutation import random_permutations
 
 __all__ = ["modeled_fitness_launch"]
 
@@ -43,9 +44,7 @@ def modeled_fitness_launch(
     seqs = device.malloc((threads, n), np.int32, "sequences")
     out = device.malloc(threads, np.float64, "fitness")
     rng = np.random.default_rng(7)
-    device.memcpy_htod(
-        seqs, np.argsort(rng.random((threads, n)), axis=1).astype(np.int32)
-    )
+    device.memcpy_htod(seqs, random_permutations(rng, threads, n))
     args = (seqs, *data.fitness_buffers(), out)
     device.reset_clocks()  # isolate the kernel from the staging cost
     device.launch(kernel, linear_config(threads, block), *args)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.permutation import random_permutations
 from repro.problems.cdd import CDDInstance
 from repro.problems.ucddcp import UCDDCPInstance
 
@@ -25,8 +26,8 @@ __all__ = ["random_population", "vshape_population", "initial_population"]
 def random_population(
     n: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``(size, n)`` uniform random permutations."""
-    return np.argsort(rng.random((size, n)), axis=1)
+    """``(size, n)`` int32 uniform random permutations."""
+    return random_permutations(rng, size, n)
 
 
 def vshape_sequence(

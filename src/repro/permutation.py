@@ -2,6 +2,9 @@
 
 Shared substrate for the metaheuristics:
 
+* uniform random permutations (:func:`random_permutations`): the initial
+  populations, the sample sequences of the SA start-temperature estimate
+  and the modeled-launch staging draws all come from here;
 * the SA neighborhood (Sections VI/VI-B): select ``Pert`` distinct positions
   of the parent sequence at random and shuffle the jobs at those positions
   with the Fisher--Yates algorithm, leaving all other positions untouched;
@@ -40,6 +43,7 @@ from repro.gpusim.rng import DeviceRNG
 from repro.seqopt import compiled
 
 __all__ = [
+    "random_permutations",
     "sample_distinct_positions",
     "partial_fisher_yates",
     "batched_sample_distinct",
@@ -51,6 +55,25 @@ __all__ = [
     "two_point_crossover",
     "batched_two_point_crossover",
 ]
+
+
+def random_permutations(
+    rng: np.random.Generator, rows: int, n: int
+) -> np.ndarray:
+    """``(rows, n)`` int32 uniform random permutations.
+
+    Row ``i`` is the argsort of row ``i`` of ``rng.random((rows, n))``.
+    The rank runs in the compiled O(n) pass unless no build loaded or a row
+    holds two equal keys (~3e-7 per 5000 rows at n = 1000); ``np.argsort``
+    sorts those draws instead.  Both give the same permutations for
+    distinct keys, so the result depends only on ``rng``.
+    """
+    keys = rng.random((rows, n))
+    lib = compiled.LIB
+    ranks = None if lib is None else compiled.rank_uniform(lib, keys)
+    if ranks is None:
+        ranks = np.argsort(keys, axis=1).astype(np.int32)
+    return ranks
 
 
 # ----------------------------------------------------------------------
@@ -220,11 +243,19 @@ def batched_random_swap(
 
 
 def _rank_in(x: np.ndarray) -> np.ndarray:
-    """Inverse permutations row-wise: ``rank[s, job] = position of job``."""
+    """Inverse permutations row-wise: ``rank[s, job] = position of job``.
+
+    Raises :class:`IndexError` for a job outside ``[0, n)`` and
+    :class:`ValueError` for a row that repeats a job (so leaves another
+    job without a position), as the compiled crossover pass does.
+    """
     s, n = x.shape
-    rank = np.empty_like(x)
+    compiled.check_range(x, n)
+    rank = np.full_like(x, -1)
     rows = np.arange(s)[:, None]
     rank[rows, x] = np.arange(n)[None, :]
+    if (rank < 0).any():
+        raise ValueError("a crossover parent row repeats a job")
     return rank
 
 

@@ -26,14 +26,23 @@
  * are drawn by the caller (repro.permutation), so it equals the NumPy
  * reference there by construction.
  *
+ * Rank: the argsort of uniform keys in [0, 1), one O(n) pass per row
+ * (bucket by floor(key * 2n), count, prefix-sum, scatter, then one
+ * insertion pass).  It ranks the keys of every uniform random
+ * permutation the host draws (repro.permutation.random_permutations),
+ * the 5000 samples of the SA start temperature among them.  For
+ * distinct keys the sorted order is unique, so it equals np.argsort; a
+ * row with a key outside [0, 1) (NaN included) or two equal keys is
+ * refused, and the caller sorts that chunk with np.argsort instead.
+ *
  * Build flags are fixed by the loader (repro.seqopt.compiled): -O2
  * -ffp-contract=off, and never -ffast-math or -march=native, so a
  * multiply-add is never fused and every ISA produces the same bits.
  *
  * Return codes: 0 ok, 1 a job index outside [0, n), 2 out of memory,
  * 3 a row that is not a permutation (a repeated job), 4 a cut outside
- * 0 <= lo <= hi <= n.  Every index is checked before it is read, and
- * every write stays inside its row.
+ * 0 <= lo <= hi <= n, 5 a rank key outside [0, 1) or a tie.  Every index
+ * is checked before it is read, and every write stays inside its row.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -45,6 +54,7 @@
 #define FIT_NO_MEMORY 2
 #define FIT_NOT_PERMUTATION 3
 #define FIT_BAD_CUT 4
+#define FIT_BAD_KEY 5
 
 /* np.maximum(0.0, x): NaN propagates. */
 static double clamp0(double x) { return (0.0 > x) ? 0.0 : x; }
@@ -225,5 +235,69 @@ int crossover(const int32_t *x, const int32_t *y, const int64_t *lo,
         }
     }
     free(used);
+    return rc;
+}
+
+/*
+ * One rank row: out[k] is the index of the k-th smallest key.  ``start``
+ * holds 2n + 1 bucket offsets, ``sk``/``si`` n keys and their indices.
+ * floor(key * 2n) is monotone in the key, so after the scatter the row is
+ * sorted up to the order inside each bucket, which the insertion pass
+ * finishes; a key equal to its left neighbour there is a tie.
+ */
+static int rank_row(const double *key, ptrdiff_t n, ptrdiff_t *start,
+                    double *sk, int32_t *si, int32_t *out) {
+    ptrdiff_t nb = 2 * n, k, j;
+
+    memset(start, 0, (size_t)(nb + 1) * sizeof(ptrdiff_t));
+    for (k = 0; k < n; k++) {
+        double v = key[k];
+        ptrdiff_t b;
+        if (!(v >= 0.0 && v < 1.0)) return FIT_BAD_KEY;
+        b = (ptrdiff_t)(v * (double)nb);
+        start[(b < nb ? b : nb - 1) + 1]++;
+    }
+    for (j = 0; j < nb; j++) start[j + 1] += start[j];
+    for (k = 0; k < n; k++) {
+        ptrdiff_t b = (ptrdiff_t)(key[k] * (double)nb);
+        ptrdiff_t at = start[b < nb ? b : nb - 1]++;
+        sk[at] = key[k];
+        si[at] = (int32_t)k;
+    }
+    for (k = 1; k < n; k++) {
+        double v = sk[k];
+        int32_t idx = si[k];
+        for (j = k; j > 0 && sk[j - 1] > v; j--) {
+            sk[j] = sk[j - 1];
+            si[j] = si[j - 1];
+        }
+        if (j > 0 && sk[j - 1] == v) return FIT_BAD_KEY;
+        sk[j] = v;
+        si[j] = idx;
+    }
+    memcpy(out, si, (size_t)n * sizeof(int32_t));
+    return FIT_OK;
+}
+
+/*
+ * np.argsort of every row of the float64 (S, n) key matrix, as int32.
+ * Returns FIT_BAD_KEY for a row with a key outside [0, 1) or a tie; rows
+ * before it are written, the rest of ``out`` is not.
+ */
+int rank_uniform(const double *keys, ptrdiff_t s_rows, ptrdiff_t n,
+                 int32_t *out) {
+    size_t m = (size_t)(n > 0 ? n : 1);
+    ptrdiff_t *start = (ptrdiff_t *)malloc((2 * m + 1) * sizeof(ptrdiff_t));
+    double *sk = (double *)malloc(m * sizeof(double));
+    int32_t *si = (int32_t *)malloc(m * sizeof(int32_t));
+    ptrdiff_t i;
+    int rc = FIT_OK;
+
+    if (start == NULL || sk == NULL || si == NULL) rc = FIT_NO_MEMORY;
+    for (i = 0; i < s_rows && rc == FIT_OK; i++)
+        rc = rank_row(keys + i * n, n, start, sk, si, out + i * n);
+    free(start);
+    free(sk);
+    free(si);
     return rc;
 }

@@ -1,14 +1,18 @@
 """Build, cache and load the compiled kernel bodies (``_fitness.c``).
 
 The C source holds two per-thread programs of the paper's kernels, each
-one O(n) pass per row of an int32 ``(S, n)`` matrix:
+one O(n) pass per row of an int32 ``(S, n)`` matrix, and one host pass:
 
 * the fitness program: the optimal CDD/UCDDCP objective of a sequence,
   reading the per-job arrays directly (:func:`cdd_objective`,
   :func:`ucddcp_objective`);
 * the DPSO update's permutation crossovers F2 and F3 as one pass with an
   n-byte "used" bitmap (:func:`crossover`; F2 keeps the segment from 0).
-  It is a pure integer pass over cuts and gates drawn by the caller.
+  It is a pure integer pass over cuts and gates drawn by the caller;
+* the rank of uniform keys in ``[0, 1)``: ``np.argsort`` of each float64
+  row as int32, by a 2n-bucket pass (:func:`rank_uniform`).  It draws the
+  random permutations of :func:`repro.permutation.random_permutations`,
+  so the SA start-temperature estimate can stream its 5000 samples.
 
 This module compiles the source once with the system C compiler and loads
 it through :mod:`ctypes`:
@@ -56,6 +60,7 @@ __all__ = [
     "find_compiler",
     "index_matrix",
     "load",
+    "rank_uniform",
     "ucddcp_objective",
 ]
 
@@ -65,6 +70,7 @@ _BUILD_TIMEOUT_S = 120.0
 _BAD_INDEX = 1
 _NOT_PERMUTATION = 3
 _BAD_CUT = 4
+_BAD_KEY = 5
 
 _I32P = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _F64P = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
@@ -139,15 +145,16 @@ def _open(path: Path) -> ctypes.CDLL | None:
     try:
         lib = ctypes.CDLL(str(path))
         cdd, ucddcp = lib.cdd_objective, lib.ucddcp_objective
-        cross = lib.crossover
+        cross, rank = lib.crossover, lib.rank_uniform
     except (OSError, AttributeError):
         return None
-    cdd.restype = ucddcp.restype = cross.restype = ctypes.c_int
+    cdd.restype = ucddcp.restype = cross.restype = rank.restype = ctypes.c_int
     cdd.argtypes = [_I32P, _SIZE, _SIZE, _F64P, _F64P, _F64P,
                     ctypes.c_double, _F64P]
     ucddcp.argtypes = [_I32P, _SIZE, _SIZE, _F64P, _F64P, _F64P, _F64P,
                        _F64P, ctypes.c_double, _F64P]
     cross.argtypes = [_I32P, _I32P, _I64P, _I64P, _U8P, _SIZE, _SIZE, _I32P]
+    rank.argtypes = [_F64P, _SIZE, _SIZE, _I32P]
     return lib
 
 
@@ -269,4 +276,25 @@ def crossover(lib: ctypes.CDLL, x: np.ndarray, y: np.ndarray,
                        np.ascontiguousarray(hi, dtype=np.int64),
                        gate, s, n, out)
     _check(rc, x)
+    return out
+
+
+def rank_uniform(lib: ctypes.CDLL, keys: np.ndarray) -> np.ndarray | None:
+    """``np.argsort(keys, axis=1)`` as int32, for keys in ``[0, 1)``.
+
+    ``keys`` is a float64 ``(S, n)`` matrix.  Returns ``None`` when a row
+    holds a key outside ``[0, 1)`` (NaN included) or two equal keys: the
+    caller then sorts with NumPy, whose order for ties this pass does not
+    reproduce.
+    """
+    if keys.ndim != 2 or keys.dtype != np.float64:
+        raise ValueError(f"keys must be a float64 (S, n) matrix, got "
+                         f"{keys.dtype} {keys.shape}")
+    s, n = keys.shape
+    out = np.empty((s, n), dtype=np.int32)
+    rc = lib.rank_uniform(np.ascontiguousarray(keys), s, n, out)
+    if rc == _BAD_KEY:
+        return None
+    if rc != 0:
+        raise MemoryError("compiled kernel body could not allocate")
     return out

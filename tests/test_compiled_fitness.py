@@ -62,11 +62,15 @@ def _solves() -> list[str]:
         ("parallel_dpso", {"coupling": coupling})
         for coupling in ("async", "ring", "coupled")
     ]
+    # serial_ta estimates its start threshold like the SA's T0: random
+    # permutations ranked in C, scored in C.
+    serial = dict(iterations=40, seed=7, walkers=4)
     return [
         _result_bytes(solver.solve(method, **kw, **extra))
         for solver in (cdd, ucddcp)
         for method, extra in runs
-    ]
+    ] + [_result_bytes(solver.solve("serial_ta", **serial))
+         for solver in (cdd, ucddcp)]
 
 
 class TestLoader:
@@ -116,18 +120,30 @@ class TestLoader:
     @needs_compiler
     def test_build_lacking_a_symbol_is_no_build(self, tmp_path):
         # A library with the fitness passes but not the crossovers.
+        assert compiled._open(self._partial_build(
+            tmp_path, "cdd_objective", "ucddcp_objective"
+        )) is None
+
+    @needs_compiler
+    def test_build_lacking_the_rank_is_no_build(self, tmp_path):
+        assert compiled._open(self._partial_build(
+            tmp_path, "cdd_objective", "ucddcp_objective", "crossover"
+        )) is None
+
+    @staticmethod
+    def _partial_build(tmp_path, *symbols):
+        """A library that exports only ``symbols`` (each returning 0)."""
         source = tmp_path / "partial.c"
-        source.write_text(
-            "int cdd_objective(void) { return 0; }\n"
-            "int ucddcp_objective(void) { return 0; }\n"
-        )
+        source.write_text("".join(
+            f"int {name}(void) {{ return 0; }}\n" for name in symbols
+        ))
         target = tmp_path / "partial.so"
         subprocess.run(
             [compiled.find_compiler(), *compiled.FLAGS, "-o", str(target),
              str(source)],
             check=True, capture_output=True,
         )
-        assert compiled._open(target) is None
+        return target
 
     def test_world_writable_dir_is_refused(self, tmp_path):
         shared = tmp_path / "shared"

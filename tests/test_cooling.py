@@ -1,10 +1,18 @@
 """Cooling schedule and initial-temperature estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core import cooling
 from repro.core.cooling import ExponentialCooling, estimate_initial_temperature
+from repro.instances.biskup import biskup_instance
+from repro.instances.ucddcp_gen import ucddcp_instance
 from repro.problems.cdd import CDDInstance
+from repro.seqopt import compiled
 
 
 class TestExponentialCooling:
@@ -77,3 +85,64 @@ class TestInitialTemperature:
         t_small = estimate_initial_temperature(small, 1000)
         t_big = estimate_initial_temperature(big, 1000)
         assert t_big == pytest.approx(10 * t_small, rel=1e-9)
+
+
+def _one_shot_reference(instance, samples, rng):
+    """The estimate as one ``(samples, n)`` draw, argsort and score."""
+    from repro.core.engine.adapters import adapter_for
+
+    seqs = np.argsort(rng.random((samples, instance.n)), axis=1)
+    return float(np.std(adapter_for(instance).batched_objective(seqs)))
+
+
+class TestStreamedEstimate:
+    """The chunked estimate equals one large draw, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 120), samples=st.integers(2, 1500),
+        chunk=st.sampled_from((1, 7, 64, 512, 4096)),
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(("cdd", "ucddcp")),
+    )
+    @example(n=1000, samples=5000, chunk=512, seed=0, family="cdd")
+    @example(n=500, samples=5000, chunk=512, seed=1, family="ucddcp")
+    def test_chunk_size_does_not_change_t0_or_rng(
+        self, n, samples, chunk, seed, family
+    ):
+        inst = (biskup_instance(n, 0.4, 1) if family == "cdd"
+                else ucddcp_instance(n, 1))
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cooling, "T0_CHUNK_ROWS", chunk)
+            t0 = estimate_initial_temperature(inst, samples, gen)
+        ref = _one_shot_reference(inst, samples, ref_gen)
+        assert t0.hex() == ref.hex()
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_numpy_fallback_gives_the_same_t0(self, monkeypatch):
+        inst = biskup_instance(200, 0.4, 2)
+        with_c = estimate_initial_temperature(inst, 3000,
+                                              np.random.default_rng(4))
+        monkeypatch.setattr(compiled, "LIB", None)
+        without = estimate_initial_temperature(inst, 3000,
+                                               np.random.default_rng(4))
+        assert with_c.hex() == without.hex()
+
+    @pytest.mark.skipif(compiled.LIB is None,
+                        reason="no compiled build on this host")
+    def test_transient_memory_does_not_grow_with_samples(self):
+        inst = biskup_instance(1000, 0.4, 1)
+        estimate_initial_temperature(inst, 2)  # warm imports and caches
+        peaks = []
+        for samples in (5000, 20000):
+            tracemalloc.start()
+            try:
+                estimate_initial_temperature(inst, samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        mb = 1024 * 1024
+        assert peaks[0] < 16 * mb
+        # 15000 more samples add only their 8-byte objectives (120 KB).
+        assert abs(peaks[1] - peaks[0]) < 0.5 * mb

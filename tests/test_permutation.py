@@ -341,6 +341,30 @@ class TestCompiledCrossoverOracle:
         with pytest.raises(IndexError):
             compiled.crossover(compiled.LIB, x, y, cut - 2, cut, mask)
 
+    @pytest.mark.parametrize(
+        "op", [batched_one_point_crossover, batched_two_point_crossover]
+    )
+    @pytest.mark.parametrize("lib", ["compiled", "numpy"])
+    def test_public_operators_refuse_a_repeated_job(self, monkeypatch, op,
+                                                    lib):
+        if lib == "numpy":
+            monkeypatch.setattr(compiled, "LIB", None)
+        x = np.tile(np.array([0, 0, 0, 0, 0], dtype=np.int32), (4, 1))
+        y = random_perm_matrix(4, 5, 3).astype(np.int32)
+        with pytest.raises(ValueError):
+            op(DeviceRNG(2), np.arange(4), x, y)
+
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_numpy_body_index_outside_range_raises(self, where):
+        x = random_perm_matrix(3, 6, 0)
+        y = random_perm_matrix(3, 6, 1)
+        (x if where == "x" else y)[1, 2] = -1
+        cut = np.full(3, 2)
+        with pytest.raises(IndexError):
+            permutation._one_point_numpy(x, y, cut)
+        with pytest.raises(IndexError):
+            permutation._two_point_numpy(x, y, cut - 2, cut)
+
     def test_cut_outside_row_raises(self):
         x = random_perm_matrix(2, 5, 0).astype(np.int32)
         with pytest.raises(ValueError):  # hi past the row
@@ -367,9 +391,84 @@ class TestCompiledCrossoverOracle:
         cut = np.full(s, 2, dtype=np.int64)
         with pytest.raises(ValueError):
             compiled.crossover(compiled.LIB, x, y, cut * 0, cut)
+        # The NumPy bodies refuse the same rows instead of returning a
+        # child built from uninitialized ranks.
+        with pytest.raises(ValueError, match="repeats a job"):
+            permutation._one_point_numpy(x, y, cut)
+        with pytest.raises(ValueError, match="repeats a job"):
+            permutation._two_point_numpy(x, y, cut * 0, cut)
         # The raw pass, into a row block fenced by sentinels.
         buf = np.full(s * n + 2 * pad, -7, dtype=np.int32)
         out = buf[pad:pad + s * n].reshape(s, n)
         gate = np.ones(s, dtype=np.uint8)
         assert compiled.LIB.crossover(x, y, cut * 0, cut, gate, s, n, out) == 3
         assert np.all(buf[:pad] == -7) and np.all(buf[pad + s * n:] == -7)
+
+
+@needs_lib
+class TestCompiledRankOracle:
+    """``compiled.rank_uniform`` equals ``np.argsort`` with ``==``."""
+
+    @given(s=st.integers(1, 64), n=st.integers(1, 1000),
+           seed=st.integers(0, 2**32 - 1))
+    @example(s=1, n=1, seed=0)
+    @example(s=64, n=1000, seed=1)
+    def test_equals_argsort(self, s, n, seed):
+        keys = np.random.default_rng(seed).random((s, n))
+        ref = np.argsort(keys, axis=1).astype(np.int32)
+        out = compiled.rank_uniform(compiled.LIB, keys)
+        assert out.dtype == ref.dtype and np.array_equal(out, ref)
+
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_crowded_keys_equal_argsort(self, n, seed):
+        # Keys packed into one bucket and at the ends of [0, 1).
+        rng = np.random.default_rng(seed)
+        keys = np.unique(np.concatenate([
+            rng.random(n) * 1e-9,
+            1.0 - rng.random(n) * 1e-9,
+            [0.0, np.nextafter(1.0, 0.0)],
+        ]))
+        keys = rng.permutation(keys)[None, :]
+        out = compiled.rank_uniform(compiled.LIB, keys)
+        assert np.array_equal(out, np.argsort(keys, axis=1))
+
+    @pytest.mark.parametrize(
+        "bad", ["tie", "one", "negative", "nan", "inf"]
+    )
+    def test_bad_key_returns_code_5_and_falls_back(self, bad):
+        s, n = 4, 50
+        keys = np.random.default_rng(3).random((s, n))
+        value = {"one": 1.0, "negative": -0.25, "nan": np.nan,
+                 "inf": np.inf, "tie": keys[2, 7]}[bad]
+        keys[2, 40] = value
+        out = np.empty((s, n), dtype=np.int32)
+        assert compiled.LIB.rank_uniform(keys, s, n, out) == 5
+        assert compiled.rank_uniform(compiled.LIB, keys) is None
+
+        class Replay:  # a generator that "draws" the planted keys
+            def random(self, shape):
+                assert shape == keys.shape
+                return keys.copy()
+
+        perms = permutation.random_permutations(Replay(), s, n)
+        ref = np.argsort(keys, axis=1).astype(np.int32)
+        assert perms.dtype == np.int32 and np.array_equal(perms, ref)
+
+    def test_shape_and_dtype_are_checked(self):
+        with pytest.raises(ValueError):
+            compiled.rank_uniform(compiled.LIB, np.zeros(5))
+        with pytest.raises(ValueError):
+            compiled.rank_uniform(compiled.LIB, np.zeros((2, 5), np.float32))
+
+
+class TestRandomPermutations:
+    @pytest.mark.parametrize("lib", ["compiled", "numpy"])
+    def test_is_the_argsort_of_one_draw(self, monkeypatch, lib):
+        if lib == "numpy":
+            monkeypatch.setattr(compiled, "LIB", None)
+        gen, ref_gen = np.random.default_rng(9), np.random.default_rng(9)
+        perms = permutation.random_permutations(gen, 30, 77)
+        ref = np.argsort(ref_gen.random((30, 77)), axis=1)
+        assert perms.dtype == np.int32 and np.array_equal(perms, ref)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        assert all(is_perm(row) for row in perms)

@@ -457,6 +457,28 @@ class TestHTTPLayer:
         assert http_call(served, "GET", "/v2/nope")[0] == 404
         assert http_call(served, "POST", "/v1/nope", {})[0] == 404
 
+    @pytest.mark.parametrize(
+        "method, config",
+        [
+            ("parallel_sa", {"t0_samples": 1}),
+            ("serial_sa", {"t0_samples": 0}),
+            ("serial_ta", {"theta0_samples": 1}),
+            ("parallel_sa", {"t0": -1.0}),
+            ("serial_ta", {"theta0": -2.0}),
+        ],
+    )
+    def test_bad_start_temperature_is_400(self, served, service, instance,
+                                          method, config):
+        # Refused at admission, not admitted to die (or run with a
+        # negative temperature) in the child.
+        request = {"instance": instance.to_dict(), "method": method,
+                   "config": {"iterations": 20, **config}}
+        code, doc, _ = http_call(served, "POST", "/v1/submit", request)
+        assert code == 400 and doc["error_type"] == "validation"
+        assert next(iter(config)) in doc["error"]
+        assert service.metrics.snapshot()["rejected_invalid"] == 1
+        assert sum(service.registry.counts().values()) == 0
+
     def test_unparseable_body_is_400(self, served):
         request = urllib.request.Request(
             served + "/v1/submit", data=b"{not json", method="POST"
